@@ -156,6 +156,33 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
+def _distinguish_pairs(args, rc: RunConfig) -> list[tuple[int, int]]:
+    """The pairs of one distinguish run, every one checked before anything is written."""
+    n = rc.n
+    if args.m1 is not None or args.m2 is not None:
+        if args.m1 is None or args.m2 is None:
+            raise _UsageError("--m1 and --m2 must be given together")
+        pairs = [(args.m1, args.m2)]
+    elif rc.pairs is not None:
+        if not isinstance(rc.pairs, list):
+            raise _UsageError("pairs must be a list of [m1, m2] pairs")
+        pairs = []
+        for p in rc.pairs:
+            if not (isinstance(p, list) and len(p) == 2
+                    and all(type(m) is int for m in p)):
+                raise _UsageError(f"pair {p!r} is not a list of two integers")
+            pairs.append(tuple(p))
+    else:
+        return [p for p in itertools.combinations(range(2 * n + 1), 2)
+                if distinguisher.proven_range(*p, n)]
+    for m1, m2 in pairs:
+        try:
+            distinguisher.check_pair(m1, m2, n)
+        except ValueError as exc:
+            raise _UsageError(f"pair ({m1},{m2}): {exc}")
+    return pairs
+
+
 def cmd_distinguish(args) -> int:
     try:
         rc = _run_config(args, _load_config(args))
@@ -163,27 +190,21 @@ def cmd_distinguish(args) -> int:
         raise _UsageError(str(exc))
     n, k = rc.n, rc.k
     outdir = rc.out or "certificates"
-    if args.m1 is not None or args.m2 is not None:
-        if args.m1 is None or args.m2 is None:
-            raise _UsageError("--m1 and --m2 must be given together")
-        pairs = [(args.m1, args.m2)]
-    elif rc.pairs is not None:
-        pairs = [tuple(p) for p in rc.pairs]
-    else:
-        pairs = list(itertools.combinations(range(1, 2 * n), 2))
+    pairs = _distinguish_pairs(args, rc)
     # health gate: the configured crossing model must put a markovian fixed
     # point in every rectangle pair before certificates are emitted
     model = _crossing_model(rc)
     for j in range(1, 2 * n + 1):
         gluing.locate_periodic_orbit(model, 0, j)
+    ends = distinguisher.EndChains(n, k)
     mismatches = 0
     for m1, m2 in pairs:
-        verdict = distinguisher.distinguish(m1, m2, n, k)
+        verdict = distinguisher.distinguish(m1, m2, n, k, ends)
         if not distinguisher.verify_certificate(verdict):
             raise AssertionError(f"certificate for ({m1},{m2}) failed re-verification")
         path = os.path.join(outdir, f"certificate_m{m1}_m{m2}.json")
         _write_atomic(path, distinguisher.certificate_to_json(verdict))
-        expected_inequivalent = 1 <= m1 < m2 <= 2 * n - 1
+        expected_inequivalent = distinguisher.proven_range(m1, m2, n)
         if expected_inequivalent and verdict.tag != distinguisher.INEQUIVALENT:
             mismatches += 1
         print(f"({m1},{m2}): {verdict.tag} -> {path}")

@@ -15,8 +15,11 @@ only run inside the range where it is actually proved.
 
 Every Inequivalent verdict carries a certificate whose witnesses re-verify
 against the handedness and homology modules; verify_certificate does that
-replay.  Verdict computation is pure, so pair enumeration parallelizes
-with any deterministic merge order.
+replay.  Within one run (fixed n and k) the end chains do not depend on the
+pair, so an EndChains object builds each of them once and every pair of the
+run reuses it; the verifier never reads those values.  Verdict computation
+is otherwise pure, so pair enumeration parallelizes with any deterministic
+merge order.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import orbit_space as osp
-from .gluing import crossing_orbit_index
-from .handedness import old_handedness, old_sa_annulus, extendable_to_even
-from .homology import NewLozengeData, decide_sa_extension
+from .gluing import crossing_orbit_index, rectangle_chirality
+from .handedness import (ExtensionAnswer, extendable_to_even, old_handedness,
+                         old_sa_annulus)
+from .homology import CONSISTENT, NewLozengeData, decide_sa_extension
 from .plug import build_plug
 
 INEQUIVALENT = "Inequivalent"
@@ -144,8 +148,13 @@ class DistinguishVerdict:
         }
 
 
-def distinguish(m1: int, m2: int, n: int, k: int) -> DistinguishVerdict:
-    """Inequivalent-with-certificate or Inconclusive for the pair (m1, m2)."""
+def proven_range(m1: int, m2: int, n: int) -> bool:
+    """Is (m1, m2) a pair the argument covers, 1 <= m1 < m2 <= 2n-1?"""
+    return 1 <= m1 < m2 <= 2 * n - 1
+
+
+def check_pair(m1: int, m2: int, n: int) -> tuple[int, int]:
+    """The pair in increasing order; ValueError unless both lie in [0, 2n] and differ."""
     if m1 == m2:
         raise ValueError("the two gluing indices must differ")
     if m1 > m2:
@@ -153,9 +162,50 @@ def distinguish(m1: int, m2: int, n: int, k: int) -> DistinguishVerdict:
     for m in (m1, m2):
         if not 0 <= m <= 2 * n:
             raise ValueError(f"gluing index {m} out of range [0, {2 * n}]")
+    return m1, m2
+
+
+class EndChains:
+    """The even-extension answers of the end chains of one run (fixed n and k).
+
+    The old chain at T_i in the m-th flow depends on m only through the
+    rectangle chirality at the crossing orbit of T_i (see old_sa_annulus),
+    so each (end torus, chirality) is built once per run, by the full
+    fan -> photo -> SA-annulus construction with all its checks, and reused
+    for every later pair.  In the proven range that is two builds per run:
+    T_1 (always L) and T_{4n-1} (always R).  The answers live as long as
+    this object; a caller makes one per run.
+    """
+
+    def __init__(self, n: int, k: int):
+        self.n = n
+        self.k = k
+        self._answers: dict[tuple[int, str], tuple[str, ExtensionAnswer]] = {}
+
+    def answer(self, i: int, m: int) -> tuple[str, ExtensionAnswer]:
+        """Handedness and even-extension answer of the old chain at T_i, m-th flow."""
+        key = (i, rectangle_chirality(m, crossing_orbit_index(i)))
+        if key not in self._answers:
+            sa = old_sa_annulus(i, m, self.n)
+            self._answers[key] = (sa.handedness, extendable_to_even(sa, self.k))
+        return self._answers[key]
+
+
+def distinguish(m1: int, m2: int, n: int, k: int,
+                ends: Optional[EndChains] = None) -> DistinguishVerdict:
+    """Inequivalent-with-certificate or Inconclusive for the pair (m1, m2).
+
+    `ends` carries the end chains of the run this pair belongs to; without
+    it the pair is a run of its own and builds them itself.
+    """
+    m1, m2 = check_pair(m1, m2, n)
     if k == 0:
         raise ValueError("surgery index k must be nonzero")
-    if not (1 <= m1 and m2 <= 2 * n - 1):
+    if ends is None:
+        ends = EndChains(n, k)
+    elif (ends.n, ends.k) != (n, k):
+        raise ValueError(f"end chains of a run with (n, k) = ({ends.n}, {ends.k})")
+    if not proven_range(m1, m2, n):
         return DistinguishVerdict(INCONCLUSIVE, m1, m2, n, k,
                                   reason="outside proven range")
 
@@ -177,22 +227,18 @@ def distinguish(m1: int, m2: int, n: int, k: int) -> DistinguishVerdict:
 
     # reversing branch: both endpoint chains would be forced to grow even
     # extensions; one of the two is impossible for this sign of k
-    ends = {}
-    for i_end in (1, 4 * n - 1):
-        sa = old_sa_annulus(i_end, m1, n)
-        answer = extendable_to_even(sa, k)
-        ends[i_end] = (sa.handedness, answer)
+    answers = {i_end: ends.answer(i_end, m1) for i_end in (1, 4 * n - 1)}
     refuting = 4 * n - 1 if k > 0 else 1
-    if ends[refuting][1].allowed:
+    if answers[refuting][1].allowed:
         return DistinguishVerdict(INCONCLUSIVE, m1, m2, n, k,
                                   reason="even-extension obstruction failed")
     reversing = BranchCertificate(
         orientation="reversing", witness_torus=refuting,
         lemma="even-extension-rule",
         table_cells={
-            "handedness": {str(i_end): hd for i_end, (hd, _) in ends.items()},
+            "handedness": {str(i_end): hd for i_end, (hd, _) in answers.items()},
             "extension_allowed": {str(i_end): ans.allowed
-                                  for i_end, (_, ans) in ends.items()},
+                                  for i_end, (_, ans) in answers.items()},
             "sign_k": "+" if k > 0 else "-",
         })
     return DistinguishVerdict(INEQUIVALENT, m1, m2, n, k,
@@ -200,30 +246,48 @@ def distinguish(m1: int, m2: int, n: int, k: int) -> DistinguishVerdict:
 
 
 def verify_certificate(verdict: DistinguishVerdict) -> bool:
-    """Replay every witness of an Inequivalent certificate; Inconclusive has none."""
-    if verdict.tag != INEQUIVALENT:
-        return True
-    if {b.orientation for b in verdict.branches} != {"preserving", "reversing"}:
+    """Replay every cell of a certificate from the handedness and homology modules.
+
+    An Inconclusive verdict carries no branches.  An Inequivalent one must
+    lie in the proven range, and each branch must equal, lemma, witness and
+    every table cell, what the two modules give for its pair.
+    """
+    if verdict.tag == INCONCLUSIVE:
+        return not verdict.branches
+    if verdict.tag != INEQUIVALENT or verdict.reason:
+        return False
+    m1, m2, n, k = verdict.m1, verdict.m2, verdict.n, verdict.k
+    if k == 0 or not proven_range(m1, m2, n):
+        return False
+    if sorted(b.orientation for b in verdict.branches) != ["preserving", "reversing"]:
         return False
     for b in verdict.branches:
+        i_w = b.witness_torus
         if b.orientation == "preserving":
-            h1 = old_handedness(b.witness_torus, verdict.m1, verdict.n)
-            h2 = old_handedness(b.witness_torus, verdict.m2, verdict.n)
-            if h1 == h2:
+            if not 2 * m1 + 1 <= i_w <= 2 * m2:
                 return False
-            if b.table_cells != {f"({b.witness_torus},{verdict.m1})": h1,
-                                 f"({b.witness_torus},{verdict.m2})": h2}:
+            h1, h2 = old_handedness(i_w, m1, n), old_handedness(i_w, m2, n)
+            if h1 == h2 or b.lemma != "handedness-table":
+                return False
+            if b.table_cells != {f"({i_w},{m1})": h1, f"({i_w},{m2})": h2}:
                 return False
         else:
-            i_w = b.witness_torus
-            hd = b.table_cells["handedness"][str(i_w)]
-            if old_handedness(i_w, verdict.m1, verdict.n) != hd:
+            # both end chains are forced to extend; the one at the witness
+            # torus cannot, and which one that is follows the sign of k
+            hands, allowed = {}, {}
+            for i_end in (1, 4 * n - 1):
+                hands[str(i_end)] = old_handedness(i_end, m1, n)
+                s_vec = [0] * (2 * n)
+                s_vec[crossing_orbit_index(i_end) - 1] = 1
+                replay = decide_sa_extension(hands[str(i_end)], k,
+                                             NewLozengeData(tuple(s_vec)))
+                allowed[str(i_end)] = replay.tag == CONSISTENT
+            if i_w != (4 * n - 1 if k > 0 else 1) or allowed[str(i_w)]:
                 return False
-            j = crossing_orbit_index(i_w)
-            s_vec = [0] * (2 * verdict.n)
-            s_vec[j - 1] = 1
-            replay = decide_sa_extension(hd, verdict.k, NewLozengeData(tuple(s_vec)))
-            if replay.tag != "Forbidden":
+            if b.lemma != "even-extension-rule":
+                return False
+            if b.table_cells != {"handedness": hands, "extension_allowed": allowed,
+                                 "sign_k": "+" if k > 0 else "-"}:
                 return False
     return True
 

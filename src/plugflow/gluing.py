@@ -19,15 +19,19 @@ with per-torus anchor offsets.  Unstable anchors are tied to the stable ones
 model exactly.  Any such model witnesses the markovian fixed point; mu and
 the offsets are configuration, not mathematics.
 
-Every value here is frozen and every function pure; models are passed
-explicitly (no global registry), so concurrent use needs no coordination.
+Every value here is frozen, a crossing model's offsets included, and every
+function pure.  A model is validated once, when it is constructed, and
+cannot change afterwards, so the functions that take one do not validate it
+again.  Models are passed explicitly (no global registry), so concurrent use
+needs no coordination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import model_torus as mt
 from .homology import H1Vector, alpha_class, h1_scale, h1_zero
@@ -211,15 +215,19 @@ class ModelCrossingMap:
     Out of the stable strip on torus t, the crossing map sends (a, b) to
     (s_off[t] + a/mu, -mu*s_off[pair(t)] + mu*b) on the exit strip of the
     partner torus.  The unstable anchor choice makes sigma-conjugation equal
-    the inverse model identically.
+    the inverse model identically.  The offsets are kept as a read-only copy,
+    so the model validated at construction is the model every later call
+    sees.
     """
 
     n: int
     mu: float = 3.0
-    s_offsets: dict[int, float] = field(default_factory=dict)
+    s_offsets: Mapping[int, float] = field(default_factory=dict)
     interval: tuple[float, float] = (0.0, 0.5)
 
     def __post_init__(self):
+        object.__setattr__(self, "s_offsets", MappingProxyType(dict(self.s_offsets)))
+        object.__setattr__(self, "interval", tuple(self.interval))
         if self.mu <= 1:
             raise InvalidCrossingModel("expansion factor mu must exceed 1")
         self.validate()
@@ -311,7 +319,6 @@ def rectangles(model: ModelCrossingMap, m: int, j: int,
     """First `count` components of the glued-strip intersection at torus 2j-1."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    model.validate()
     chir = rectangle_chirality(m, j)
     box = model.interval
     return [RectangleChoice(j, chir, c, 2 * j - 1, box, box, _x_region(chir))
@@ -347,9 +354,9 @@ def locate_periodic_orbit(model: ModelCrossingMap, m: int, j: int,
     the inverse map, so both iterations contract; the residual is measured on
     the forward map.  With the affine model the fixed point is unique; for
     the underlying flow uniqueness needs the hyperbolicity that the model
-    builds in.
+    builds in.  The model was validated when it was constructed, so the
+    health gate's 2n calls cost O(n) together, not O(n^2).
     """
-    model.validate()
     t1, t2 = 2 * j - 1, 2 * j
     chir = rectangle_chirality(m, j)
     lo, hi = model.interval

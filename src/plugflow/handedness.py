@@ -129,7 +129,13 @@ def old_handedness(i: int, m: int, n: Optional[int] = None) -> str:
 
 
 def old_sa_annulus(i: int, m: int, n: int) -> SAAnnulus:
-    """The old (4i+3)-chain associated to T_i, read off its orbit-space photo."""
+    """The old (4i+3)-chain associated to T_i, read off its orbit-space photo.
+
+    The chain depends on m only through rectangle_chirality(m, j), j the
+    crossing-orbit index of T_i: the fan's punctured lozenge and the
+    handedness are both functions of that chirality.  A distinguish run
+    therefore builds it once per (i, chirality), not once per pair.
+    """
     fan = osp.old_fan_cluster(i, m)
     sa = osp.photo_inverse(fan, origin=("old", i), n=n)
     return SAAnnulus(sa.components, sa.adjacency_labels, sa.interior_orbits,

@@ -1,5 +1,7 @@
 """Batch front-end: determinism, golden files, exit codes, SVG output."""
 
+import hashlib
+import itertools
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -122,6 +124,71 @@ def test_distinguish_inconclusive_pair_sets_exit_code(tmp_path):
     assert doc["verdict"] == "Inconclusive"
 
 
+@pytest.mark.parametrize("pairs", [
+    [[1, 2], [3, 3]],
+    [[1, 2], [0, 9]],
+    [[1, 2], [1, 2, 3]],
+    [[1, 2], [1, "3"]],
+    [[1, 2], [True, 3]],
+    {"1": 2},
+])
+def test_bad_pair_list_writes_nothing(tmp_path, pairs):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"n": 2, "k": 7, "pairs": pairs,
+                                   "out": str(tmp_path / "certs")}))
+    assert run(["--config", cfgfile, "distinguish"]) == cli.EXIT_USAGE
+    assert not (tmp_path / "certs").exists()
+
+
+#: sha256 of every certificate byte and exit code of the all-pairs runs
+#: below, taken before the end chains were reused across the pairs of a run
+ALL_PAIRS_DIGEST = "47d571d8e107d1f6c2490a9548c4d3f0c4fa7db5dbd6a8e8bf0d2faa268118cb"
+
+
+def test_all_pairs_certificates_bytes_identical(tmp_path):
+    h = hashlib.sha256()
+    for n in range(1, 9):
+        for k in (1, -1, 7, -7, 100, -100):
+            out = tmp_path / f"n{n}_k{k}"
+            cfgfile = tmp_path / f"cfg_n{n}_k{k}.json"
+            pairs = [list(p) for p in itertools.combinations(range(2 * n + 1), 2)]
+            cfgfile.write_text(json.dumps({"n": n, "k": k, "pairs": pairs,
+                                           "out": str(out)}))
+            code = run(["--config", cfgfile, "distinguish"])
+            h.update(f"{n},{k},{code}".encode())
+            for name in sorted(os.listdir(out)):
+                h.update(name.encode())
+                h.update((out / name).read_bytes())
+    assert h.hexdigest() == ALL_PAIRS_DIGEST
+
+
+def test_all_pairs_run_builds_end_chains_once(tmp_path, monkeypatch):
+    from plugflow import gluing, orbit_space
+
+    counts = {"fans": 0, "validate": 0}
+    old_fan_cluster = orbit_space.old_fan_cluster
+    validate = gluing.ModelCrossingMap.validate
+
+    def counted_fan(*a):
+        counts["fans"] += 1
+        return old_fan_cluster(*a)
+
+    def counted_validate(self):
+        counts["validate"] += 1
+        return validate(self)
+
+    monkeypatch.setattr(orbit_space, "old_fan_cluster", counted_fan)
+    monkeypatch.setattr(gluing.ModelCrossingMap, "validate", counted_validate)
+    cfgfile = tmp_path / "cfg.json"
+    pairs = [list(p) for p in itertools.combinations(range(17), 2)]
+    cfgfile.write_text(json.dumps({"n": 8, "k": -7, "pairs": pairs,
+                                   "out": str(tmp_path / "certs")}))
+    assert run(["--config", cfgfile, "distinguish"]) == 0
+    assert len(os.listdir(tmp_path / "certs")) == len(pairs)
+    assert counts["fans"] <= 2
+    assert counts["validate"] == 1
+
+
 def test_usage_error_exit_code():
     assert run(["distinguish", "--n", 2, "--k", 7, "--m1", 1]) == cli.EXIT_USAGE
 
@@ -222,7 +289,7 @@ def test_invalid_crossing_model_is_internal_failure(tmp_path):
 def test_verdict_mismatch_exit_code(tmp_path, monkeypatch):
     from plugflow import distinguisher
 
-    def fake(m1, m2, n, k):
+    def fake(m1, m2, n, k, ends):
         return distinguisher.DistinguishVerdict(
             distinguisher.INCONCLUSIVE, m1, m2, n, k, reason="stubbed")
 

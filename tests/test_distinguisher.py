@@ -1,5 +1,6 @@
 """Pairwise verdicts, certificates and non-R-covered witnesses."""
 
+import dataclasses
 import itertools
 import json
 
@@ -152,6 +153,100 @@ def test_tampered_certificate_fails_verification():
         for b in v.branches)
     tampered = dist.DistinguishVerdict(v.tag, v.m1, v.m2, v.n, v.k, bad_branches)
     assert not dist.verify_certificate(tampered)
+
+
+def test_end_chains_of_another_run_rejected():
+    ends = dist.EndChains(2, 7)
+    with pytest.raises(ValueError):
+        dist.distinguish(1, 2, 2, -7, ends)
+    with pytest.raises(ValueError):
+        dist.distinguish(1, 2, 3, 7, ends)
+
+
+FLIP = {"L": "R", "R": "L", True: False, False: True, "+": "-", "-": "+"}
+
+
+def _cell_variants(cells):
+    """Every table with one cell flipped, dropped or added."""
+    for key, val in cells.items():
+        if isinstance(val, dict):
+            for sub in _cell_variants(val):
+                yield {**cells, key: sub}
+        else:
+            yield {**cells, key: FLIP[val]}
+        yield {c: v for c, v in cells.items() if c != key}
+    yield {**cells, "extra": "L"}
+
+
+def _single_field_changes(v):
+    """Every certificate that differs from `v` in exactly one field.
+
+    k enters the proof only through its sign, so only the sign is changed.
+    """
+    for tag in (dist.INCONCLUSIVE, "Equivalent"):
+        yield dataclasses.replace(v, tag=tag)
+    yield dataclasses.replace(v, reason="stubbed")
+    for name in ("m1", "m2", "n"):
+        for step in (-1, 1):
+            yield dataclasses.replace(v, **{name: getattr(v, name) + step})
+    yield dataclasses.replace(v, k=-v.k)
+    for idx, b in enumerate(v.branches):
+        def branch(**kw):
+            changed = list(v.branches)
+            changed[idx] = dataclasses.replace(b, **kw)
+            return dataclasses.replace(v, branches=tuple(changed))
+        yield branch(orientation="reversing" if b.orientation == "preserving"
+                     else "preserving")
+        for t in range(0, 4 * v.n + 2):
+            if t != b.witness_torus:
+                yield branch(witness_torus=t)
+        for lemma in ("handedness-table", "even-extension-rule", "other"):
+            if lemma != b.lemma:
+                yield branch(lemma=lemma)
+        for cells in _cell_variants(b.table_cells):
+            yield branch(table_cells=cells)
+        yield dataclasses.replace(v, branches=v.branches[:idx] + v.branches[idx + 1:])
+        yield dataclasses.replace(v, branches=v.branches + (b,))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [1, -1, 7, -7])
+def test_every_single_field_change_fails_verification(n, k):
+    for m1, m2 in itertools.combinations(range(1, 2 * n), 2):
+        v = dist.distinguish(m1, m2, n, k)
+        assert dist.verify_certificate(v)
+        changes = list(_single_field_changes(v))
+        assert len(changes) > 20
+        for bad in changes:
+            assert bad != v
+            assert not dist.verify_certificate(bad), bad
+
+
+def _forge(m1, m2, n, k):
+    """The Inequivalent certificate the argument would give if run on any pair."""
+    i_w = next(i for i in range(2 * m1 + 1, 2 * m2 + 1)
+               if old_handedness(i, m1, n) != old_handedness(i, m2, n))
+    ends = dist.EndChains(n, k)
+    answers = {str(i): ends.answer(i, m1) for i in (1, 4 * n - 1)}
+    return dist.DistinguishVerdict(dist.INEQUIVALENT, m1, m2, n, k, branches=(
+        dist.BranchCertificate("preserving", i_w, "handedness-table", {
+            f"({i_w},{m1})": old_handedness(i_w, m1, n),
+            f"({i_w},{m2})": old_handedness(i_w, m2, n)}),
+        dist.BranchCertificate("reversing", 4 * n - 1 if k > 0 else 1,
+                               "even-extension-rule", {
+            "handedness": {i: hd for i, (hd, _) in answers.items()},
+            "extension_allowed": {i: a.allowed for i, (_, a) in answers.items()},
+            "sign_k": "+" if k > 0 else "-"})))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_out_of_range_forgeries_fail_verification(n):
+    for k in (7, -7):
+        for m1, m2 in itertools.combinations(range(2 * n + 1), 2):
+            if dist.proven_range(m1, m2, n):
+                assert _forge(m1, m2, n, k) == dist.distinguish(m1, m2, n, k)
+            else:
+                assert not dist.verify_certificate(_forge(m1, m2, n, k)), (m1, m2)
 
 
 # -- non-R-covered certificates ------------------------------------------------------------

@@ -119,6 +119,22 @@ def test_model_rejects_disjoint_strips():
         gluing.ModelCrossingMap(n=1, s_offsets={1: 0.9, 2: 0.9, 3: 0.9, 4: 0.9})
 
 
+def test_model_offsets_are_read_only():
+    # the model is validated once, at construction, so it must not change later
+    offsets, interval = {1: 0.2}, [0.0, 0.5]
+    model = gluing.ModelCrossingMap(n=1, s_offsets=offsets, interval=interval)
+    with pytest.raises(TypeError):
+        model.s_offsets[1] = 0.9
+    with pytest.raises(TypeError):
+        model.s_offsets[2] = 0.9
+    with pytest.raises(TypeError):
+        model.interval[1] = 5.0
+    offsets[1] = 0.9
+    interval[1] = 5.0
+    assert model.s_off(1) == 0.2
+    assert model.interval == (0.0, 0.5)
+
+
 def test_sigma_conjugate_is_inverse():
     # sigma . Theta_t . sigma equals the inverse of the crossing map out of the
     # partner strip; this is what ties the unstable anchors to the stable ones
