@@ -4,7 +4,9 @@ Subcommands: plug (dump the symbolic plug), invariants (handedness matrix
 and cluster sizes), distinguish (pairwise certificates), plot (SVG of one
 model bifoliation), orbit-space (cluster adjacency JSON).  All output is
 deterministic JSON or SVG; files are written atomically.  A JSON config
-file can override any flag and carries the crossing-model parameters.
+file (--config) can set any flag and carries the crossing-model parameters;
+a flag given on the command line takes precedence over the config value.
+Config keys a command does not read are rejected as usage errors.
 
 Exit codes: 0 success, 1 usage error, 2 a pair expected Inequivalent came
 back Inconclusive, 3 internal invariant failure.
@@ -18,7 +20,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 from . import distinguisher, gluing, handedness, model_torus as mt, plug
 from . import orbit_space as osp
@@ -28,25 +29,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERDICT_MISMATCH = 2
 EXIT_INTERNAL = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged flag/config-file settings for one batch run."""
-
-    n: int = 1
-    k: int = 7
-    pairs: list | None = None
-    out: str | None = None
-    mu: float | None = None
-    s_offsets: dict = field(default_factory=dict)
-    interval: tuple | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.k == 0:
-            raise ValueError("k must be nonzero")
 
 
 class _UsageError(Exception):
@@ -72,54 +54,89 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _load_config(args) -> dict:
+def _offsets(value) -> dict[int, float]:
+    if not isinstance(value, dict):
+        raise TypeError("expected an object of torus: offset")
+    return {int(t): float(v) for t, v in value.items()}
+
+
+def _interval(value) -> tuple[float, float]:
+    lo, hi = value
+    return (float(lo), float(hi))
+
+
+def _path(value) -> str:
+    if not (isinstance(value, str) and value):
+        raise TypeError("expected a non-empty path")
+    return value
+
+
+def _extension(value) -> str:
+    if not (isinstance(value, str) and set(value) <= {"u", "s"}
+            and len(set(value)) == len(value)):
+        raise ValueError("takes distinct letters from 'u' and 's'")
+    return value
+
+
+#: how a given setting is read; a value that does not convert is a usage error
+_CONVERT = {"n": int, "k": int, "i": int, "mu": float, "s_offsets": _offsets,
+            "interval": _interval, "out": _path, "extend": _extension}
+
+#: keys of one distinguish run; invariants reads the same run configuration
+_RUN_DEFAULTS = {"n": 1, "k": 7, "pairs": None, "out": None, "mu": None,
+                 "s_offsets": None, "interval": None}
+
+
+def _settings(args, defaults: dict) -> dict:
+    """Merged settings of one command: the flag if given, else the config value,
+    else the default.  The keys of `defaults` are the only config keys the
+    command accepts."""
     cfg = {}
     if args.config:
-        with open(args.config) as f:
-            cfg = json.load(f)
-    return cfg
+        try:
+            with open(args.config) as f:
+                cfg = json.load(f)
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"config {args.config}: {exc}")
+        if not isinstance(cfg, dict):
+            raise _UsageError(f"config {args.config} is not a JSON object")
+        unknown = sorted(set(cfg) - set(defaults))
+        if unknown:
+            raise _UsageError(f"{args.command} does not read config keys {unknown}")
+    settings = {}
+    for key, default in defaults.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = cfg.get(key)
+        if value is None:
+            value = default
+        elif key in _CONVERT:
+            try:
+                value = _CONVERT[key](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise _UsageError(f"bad {key} {value!r}: {exc}")
+        settings[key] = value
+    if settings.get("n", 1) < 1:
+        raise _UsageError("n must be >= 1")
+    if settings.get("k") == 0:
+        raise _UsageError("k must be nonzero")
+    return settings
 
 
-def _merged(args, cfg, key, default=None):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _run_config(args, cfg) -> RunConfig:
-    return RunConfig(
-        n=int(_merged(args, cfg, "n", 1)),
-        k=int(_merged(args, cfg, "k", 7)),
-        pairs=cfg.get("pairs"),
-        out=_merged(args, cfg, "out"),
-        mu=_merged(args, cfg, "mu"),
-        s_offsets={int(t): float(v)
-                   for t, v in cfg.get("s_offsets", {}).items()},
-        interval=tuple(cfg["interval"]) if "interval" in cfg else None,
-    )
-
-
-def _crossing_model(rc: RunConfig) -> gluing.ModelCrossingMap:
-    kwargs = {"n": rc.n}
-    if rc.mu is not None:
-        kwargs["mu"] = float(rc.mu)
-    if rc.s_offsets:
-        kwargs["s_offsets"] = rc.s_offsets
-    if rc.interval is not None:
-        kwargs["interval"] = rc.interval
-    return gluing.ModelCrossingMap(**kwargs)
+def _crossing_model(s: dict) -> gluing.ModelCrossingMap:
+    """The configured crossing model; settings left unset keep the model's defaults."""
+    given = {key: s[key] for key in ("mu", "s_offsets", "interval")
+             if s[key] is not None}
+    return gluing.ModelCrossingMap(n=s["n"], **given)
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
 def cmd_plug(args) -> int:
-    cfg = _load_config(args)
-    n = int(_merged(args, cfg, "n", 1))
-    out = _merged(args, cfg, "out", f"plug_n{n}.json")
+    s = _settings(args, {"n": 1, "out": None})
+    n = s["n"]
+    out = s["out"] or f"plug_n{n}.json"
     spec = plug.build_plug(n)
     _write_atomic(out, plug.plug_to_json(spec))
     print(f"wrote {out}")
@@ -127,24 +144,15 @@ def cmd_plug(args) -> int:
 
 
 def invariants_document(n: int, k: int) -> dict:
-    rows = []
-    for i in range(1, 4 * n + 1):
-        rows.append({
-            "i": i,
-            "cluster_size": 4 * i + 3,
-            "handedness_by_m": [handedness.old_handedness(i, m, n)
-                                for m in range(2 * n + 1)],
-        })
+    rows = [{"i": i, "cluster_size": 4 * i + 3, "handedness_by_m": row}
+            for i, row in handedness.handedness_table(n).items()]
     return {"n": n, "k": k, "columns_m": list(range(2 * n + 1)), "rows": rows}
 
 
 def cmd_invariants(args) -> int:
-    try:
-        rc = _run_config(args, _load_config(args))
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    n, k = rc.n, rc.k
-    out = rc.out or f"invariants_n{n}_k{k}.json"
+    s = _settings(args, _RUN_DEFAULTS)
+    n, k = s["n"], s["k"]
+    out = s["out"] or f"invariants_n{n}_k{k}.json"
     doc = invariants_document(n, k)
     for row in doc["rows"]:
         flips = sum(1 for a, b in zip(row["handedness_by_m"],
@@ -156,44 +164,44 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
-def _distinguish_pairs(args, rc: RunConfig) -> list[tuple[int, int]]:
-    """The pairs of one distinguish run, every one checked before anything is written."""
-    n = rc.n
+def _distinguish_pairs(args, s: dict) -> list[tuple[int, int]]:
+    """The pairs of one distinguish run in increasing order, every one checked
+    before anything is written; a pair listed twice is a usage error."""
+    n = s["n"]
     if args.m1 is not None or args.m2 is not None:
         if args.m1 is None or args.m2 is None:
             raise _UsageError("--m1 and --m2 must be given together")
-        pairs = [(args.m1, args.m2)]
-    elif rc.pairs is not None:
-        if not isinstance(rc.pairs, list):
+        given = [[args.m1, args.m2]]
+    elif s["pairs"] is not None:
+        given = s["pairs"]
+        if not isinstance(given, list):
             raise _UsageError("pairs must be a list of [m1, m2] pairs")
-        pairs = []
-        for p in rc.pairs:
-            if not (isinstance(p, list) and len(p) == 2
-                    and all(type(m) is int for m in p)):
-                raise _UsageError(f"pair {p!r} is not a list of two integers")
-            pairs.append(tuple(p))
     else:
         return [p for p in itertools.combinations(range(2 * n + 1), 2)
                 if distinguisher.proven_range(*p, n)]
-    for m1, m2 in pairs:
+    pairs = []
+    for p in given:
+        if not (isinstance(p, list) and len(p) == 2
+                and all(type(m) is int for m in p)):
+            raise _UsageError(f"pair {p!r} is not a list of two integers")
         try:
-            distinguisher.check_pair(m1, m2, n)
+            pair = distinguisher.check_pair(*p, n)
         except ValueError as exc:
-            raise _UsageError(f"pair ({m1},{m2}): {exc}")
+            raise _UsageError(f"pair ({p[0]},{p[1]}): {exc}")
+        if pair in pairs:
+            raise _UsageError(f"pair ({pair[0]},{pair[1]}) is listed twice")
+        pairs.append(pair)
     return pairs
 
 
 def cmd_distinguish(args) -> int:
-    try:
-        rc = _run_config(args, _load_config(args))
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    n, k = rc.n, rc.k
-    outdir = rc.out or "certificates"
-    pairs = _distinguish_pairs(args, rc)
+    s = _settings(args, _RUN_DEFAULTS)
+    n, k = s["n"], s["k"]
+    outdir = s["out"] or "certificates"
+    pairs = _distinguish_pairs(args, s)
     # health gate: the configured crossing model must put a markovian fixed
     # point in every rectangle pair before certificates are emitted
-    model = _crossing_model(rc)
+    model = _crossing_model(s)
     for j in range(1, 2 * n + 1):
         gluing.locate_periodic_orbit(model, 0, j)
     ends = distinguisher.EndChains(n, k)
@@ -262,33 +270,28 @@ def _split_at_x_seam(seg, circ):
 
 
 def cmd_plot(args) -> int:
-    cfg = _load_config(args)
-    i = int(_merged(args, cfg, "i", 1))
+    s = _settings(args, {"i": 1, "out": None})
+    i = s["i"]
     if i < 1:
         raise _UsageError("torus index i must be >= 1")
-    out = _merged(args, cfg, "out", f"bifoliation_T{i}.svg")
+    out = s["out"] or f"bifoliation_T{i}.svg"
     _write_atomic(out, bifoliation_svg(i))
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def cmd_orbit_space(args) -> int:
-    cfg = _load_config(args)
-    n = int(_merged(args, cfg, "n", 1))
-    k = int(_merged(args, cfg, "k", 7))
-    i = int(_merged(args, cfg, "i", 1))
+    s = _settings(args, {"n": 1, "k": 7, "i": 1, "extend": "", "out": None})
+    n, k, i = s["n"], s["k"], s["i"]
     if not 1 <= i <= 4 * n:
         raise _UsageError(f"i must be in [1, {4 * n}]")
-    extend = _merged(args, cfg, "extend", "") or ""
-    out = _merged(args, cfg, "out", f"orbit_space_T{i}.json")
+    out = s["out"] or f"orbit_space_T{i}.json"
     fan = osp.old_fan_cluster(i, 0)
     lozenges = list(fan.lozenges)
     ends = osp.fan_end_slots(fan)
     free = osp.free_slots(fan.lozenges)
     j = gluing.crossing_orbit_index(i)
-    for fol in extend:
-        if fol not in ("u", "s"):
-            raise _UsageError("--extend takes a combination of 'u' and 's'")
+    for fol in s["extend"]:
         s_vec = [0] * (2 * n)
         s_vec[j - 1] = 1
         slot = ends[fol]
@@ -311,7 +314,8 @@ def cmd_orbit_space(args) -> int:
 def build_parser() -> _Parser:
     p = _Parser(prog="plugflow",
                 description="plug-flow family invariants and certificates")
-    p.add_argument("--config", help="JSON config file overriding flags")
+    p.add_argument("--config", help="JSON config file; flags take precedence, and "
+                   "keys the command does not read are rejected")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("plug", help="write the symbolic plug as JSON")
@@ -359,16 +363,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AssertionError, gluing.InvalidCrossingModel,
-            gluing.NonMarkovianError) as exc:
+    except (AssertionError, ValueError, KeyError, gluing.NonMarkovianError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Gluing maps, strip selection, markovian rectangles and surgery framing.
+"""Gluing maps, the affine crossing model and its markovian fixed point.
 
 The m-th gluing map sends each exit torus to its entrance copy through the
 involution followed by a horizontal half shift: -1/2 on the tori with index
@@ -34,7 +34,6 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from . import model_torus as mt
-from .homology import H1Vector, alpha_class, h1_scale, h1_zero
 
 MINUS_HALF = Fraction(-1, 2)
 PLUS_HALF = Fraction(1, 2)
@@ -76,69 +75,15 @@ def annulus_intersection_pattern(m: int, i: int, j: int, n: int) -> frozenset[in
     a0 = 2 * j + (1 if shift > 0 else -1)
     a1 = a0 + 2
     mod = 2 * c
-    hits = []
-    for ell in range(c):
-        if _circle_overlap_positive(a0, a1, 2 * ell, 2 * ell + 2, mod):
-            hits.append(ell)
-    return frozenset(hits)
-
-
-def _circle_overlap_positive(a0: int, a1: int, b0: int, b1: int, mod: int) -> bool:
-    """Positive-length overlap of two closed circle arcs given as lifted intervals."""
-    a0m = a0 % mod
-    a1m = a0m + (a1 - a0)
-    b0m = b0 % mod
-    for t in (-1, 0, 1):
-        lo = max(a0m, b0m + t * mod)
-        hi = min(a1m, b0m + t * mod + (b1 - b0))
-        if hi > lo:
-            return True
-    return False
-
-
-@dataclass(frozen=True)
-class GluingMap:
-    """The m-th gluing map as its per-torus restriction rule."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if not 0 <= self.m <= 2 * self.n:
-            raise ValueError(f"m must be in [0, {2 * self.n}], got {self.m}")
-
-    def restriction(self, i: int) -> GluingRestriction:
-        return gluing_restriction(self.m, i, self.n)
-
-
-@dataclass(frozen=True)
-class FlowDescriptor:
-    """Names one flow of the family: plug size n, gluing index m, surgery index k."""
-
-    n: int
-    m: int
-    k: int
-    hyperbolicity_threshold: int = 2
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not 0 <= self.m <= 2 * self.n:
-            raise ValueError(f"m must be in [0, {2 * self.n}]")
-        if self.k == 0:
-            raise ValueError("surgery index k must be nonzero")
-
-    @property
-    def k_large(self) -> bool:
-        """Metadata flag only: |k| above the configured threshold."""
-        return abs(self.k) >= self.hyperbolicity_threshold
+    return frozenset(ell for ell in range(c)
+                     if mt.interval_overlap_length((a0, a1), (2 * ell, 2 * ell + 2), mod) > 0)
 
 
 # -- strips --------------------------------------------------------------------
 
 #: chart interval [0, 1] of the annulus hosting every selected strip; this is
-#: the annulus fixed by the symmetry x -> 1-x, which the rectangle mirroring
-#: below requires.
+#: the annulus fixed by the symmetry x -> 1-x, so the L and R components in it
+#: are mirror images (x in (0, 1/2) and (1/2, 1)).
 STRIP_ANNULUS_INDEX = 0
 
 
@@ -150,45 +95,6 @@ def pair_torus(t: int) -> int:
 def crossing_orbit_index(t: int) -> int:
     """The crossing orbit meeting torus t: j = ceil(t/2)."""
     return (t + 1) // 2
-
-
-@dataclass(frozen=True)
-class StripSelection:
-    """The four strips attached to the j-th crossing orbit and their pairings."""
-
-    j: int
-    ds: dict[int, mt.ModelStrip]   # stable strips on tori 2j-1, 2j
-    du: dict[int, mt.ModelStrip]   # unstable strips on tori 2j-1, 2j
-
-    @property
-    def relations(self) -> dict[str, str]:
-        a, b = 2 * self.j - 1, 2 * self.j
-        return {
-            f"Du_{b}": f"Theta(Ds_{a})",
-            f"Du_{a}": f"Theta(Ds_{b})",
-            f"Ds_{b}": f"sigma.Theta(Ds_{a})",
-            f"Ds_{a}": f"sigma.Theta(Ds_{b})",
-        }
-
-
-def select_strips(j: int, n: int,
-                  interval: tuple[float, float] = (0.0, 0.5)) -> StripSelection:
-    """Stable/unstable strip quadruple for the j-th crossing orbit.
-
-    Both stable strips live in the chart interval [0,1] of their entrance
-    torus and the unstable strips are their images under the involution
-    (same leaf-constant interval, u-side annulus with the same index).
-    """
-    if not 1 <= j <= 2 * n:
-        raise ValueError(f"j must be in [1, {2 * n}], got {j}")
-    lo, hi = interval
-    ds, du = {}, {}
-    for t in (2 * j - 1, 2 * j):
-        ds[t] = mt.ModelStrip(t, "s", mt.ReebAnnulusId(t, "s", STRIP_ANNULUS_INDEX),
-                              lo, hi)
-        du[t] = mt.ModelStrip(t, "u", mt.ReebAnnulusId(t, "u", STRIP_ANNULUS_INDEX),
-                              lo, hi)
-    return StripSelection(j=j, ds=ds, du=du)
 
 
 # -- the affine crossing model ---------------------------------------------------
@@ -282,54 +188,9 @@ class ModelCrossingMap:
                     f"unstable window of torus {t} strip misses its rectangle")
 
 
-# -- rectangles -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RectangleChoice:
-    """One connected component of a glued strip intersection.
-
-    The component with index c is the c-th winding of the spiral overlap; all
-    components share the leaf-constant box.  L components are the mirror
-    images of R components under x -> 1-x, which swaps the two x-regions and
-    preserves both leaf constants.
-    """
-
-    j: int
-    chirality: str              # "R" | "L"
-    component: int
-    torus: int
-    box_s: tuple[float, float]
-    box_u: tuple[float, float]
-    x_region: tuple[Fraction, Fraction]
-
-
 def rectangle_chirality(m: int, j: int) -> str:
     """Which components the m-th flow uses at the j-th crossing orbit."""
     return "L" if j <= m else "R"
-
-
-def _x_region(chirality: str) -> tuple[Fraction, Fraction]:
-    if chirality == "R":
-        return (Fraction(1, 2), Fraction(1))
-    return (Fraction(0), Fraction(1, 2))
-
-
-def rectangles(model: ModelCrossingMap, m: int, j: int,
-               count: int) -> list[RectangleChoice]:
-    """First `count` components of the glued-strip intersection at torus 2j-1."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    chir = rectangle_chirality(m, j)
-    box = model.interval
-    return [RectangleChoice(j, chir, c, 2 * j - 1, box, box, _x_region(chir))
-            for c in range(count)]
-
-
-def theta_rectangle(r: RectangleChoice) -> RectangleChoice:
-    """Mirror image under x -> 1-x: swaps chirality, preserves constants."""
-    chir = "L" if r.chirality == "R" else "R"
-    return RectangleChoice(r.j, chir, r.component, r.torus, r.box_s, r.box_u,
-                           _x_region(chir))
 
 
 # -- the markovian fixed point ----------------------------------------------------
@@ -389,50 +250,3 @@ def locate_periodic_orbit(model: ModelCrossingMap, m: int, j: int,
                 itinerary=(f"T_{t1}", f"T_{t2}"))
     raise NonMarkovianError(
         f"no convergence after {max_iter} iterations: non-markovian configuration")
-
-
-# -- surgery framing ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SurgeryFraming:
-    """Meridian/longitude data of the j-th crossing orbit and its surgered meridian."""
-
-    j: int
-    k: int
-    meridian: H1Vector
-    longitude: H1Vector
-    surgered_meridian: H1Vector
-
-
-def surgery_framing(j: int, k: int, n: int) -> SurgeryFraming:
-    """Classes of the framing curves: [mu]=0, [lambda]=[alpha_j], [mu + k lambda]=k[alpha_j]."""
-    if k == 0:
-        raise ValueError("surgery index k must be nonzero")
-    if not 1 <= j <= 2 * n:
-        raise ValueError(f"j must be in [1, {2 * n}], got {j}")
-    lam = alpha_class(j, n)
-    return SurgeryFraming(j=j, k=k, meridian=h1_zero(n), longitude=lam,
-                          surgered_meridian=h1_scale(k, lam))
-
-
-# -- orientation bookkeeping --------------------------------------------------------
-
-#: the parity chain behind "the local stable set is an annulus, never a Moebius
-#: band": each step is an orientation-preserving equivalence, so the composed
-#: sign is +1 for every (m, j).
-LOCAL_STABLE_PARITY_CHAIN = (
-    ("involution conjugates the crossing map to its inverse", 1),
-    ("a homeomorphism preserves orientation iff its inverse does", 1),
-    ("half-shifted leaf frames form direct bases on both tori", 1),
-    ("the glued return map preserves the boundary orientation", 1),
-)
-
-
-def local_stable_is_annulus(m: int, j: int) -> bool:
-    """True for every flow and crossing orbit; asserts the stored parity chain."""
-    sign = 1
-    for _, s in LOCAL_STABLE_PARITY_CHAIN:
-        sign *= s
-    if sign != 1:
-        raise AssertionError("orientation parity chain is inconsistent")
-    return True

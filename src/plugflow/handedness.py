@@ -33,10 +33,6 @@ L = "L"
 R = "R"
 
 
-class EvenChainError(ValueError):
-    """The boundary-frame sign of an even chain is ill-defined."""
-
-
 @dataclass(frozen=True)
 class SAAnnulus:
     """k Birkhoff annuli glued along k-1 interior orbits with alternating types."""
@@ -84,34 +80,10 @@ def make_sa_annulus(components, adjacency_labels, interior_orbits, boundary_orbi
     return sa
 
 
-def frame_consistency(sa: SAAnnulus) -> str:
-    """Do the boundary frames at the two ends define the same orientation?
-
-    The frame is transported across the chain with one parity flip per
-    interior-orbit crossing and one extra flip wherever a label deviates
-    from the alternating sequence anchored at the first one.  A strictly
-    alternating odd chain makes an even number of crossings, so well-formed
-    inputs are always consistent; a single corrupted label flips the parity
-    and is reported inconsistent.
-    """
-    k = len(sa)
-    if k % 2 == 0:
-        raise EvenChainError(f"chain length {k} is even: boundary sign undefined")
-    sign = 1
-    for _ in sa.adjacency_labels:
-        sign = -sign
-    expected = sa.adjacency_labels[0] if sa.adjacency_labels else None
-    for lab in sa.adjacency_labels[1:]:
-        expected = "u" if expected == "s" else "s"
-        if lab != expected:
-            sign = -sign
-    return "consistent" if sign == 1 else "inconsistent"
-
-
 def old_handedness(i: int, m: int, n: Optional[int] = None) -> str:
     """Handedness of the old SA annulus attached to T_i in the m-th flow.
 
-    Composed, not tabulated: the gluing picks L rectangles at the crossing
+    Composed, not tabulated: the gluing picks L components at the crossing
     orbit j = ceil(i/2) iff j <= m, and the plug's boundary-frame parity
     (positive iff i is odd) says whether the rectangle chirality transfers
     to the annulus frame directly or flipped.

@@ -25,8 +25,6 @@ H1Vector = tuple[int, ...]
 
 FORBIDDEN = "Forbidden"
 CONSISTENT = "Consistent"
-OBSTRUCTED = "Obstructed"
-UNOBSTRUCTED = "Unobstructed"
 
 
 def h1_zero(n: int) -> H1Vector:
@@ -241,30 +239,6 @@ def decide_sa_extension(handedness: str, k: int, s: NewLozengeData,
                            f"Int(beta, T_{t}) forced to {val} < 0 "
                            f"({handedness}-type, k={k})")
     return Verdict(CONSISTENT, None, "forced boundary class is nonnegative")
-
-
-@dataclass(frozen=True)
-class PowerHomotopyResult:
-    tag: str
-    torus: int | None = None
-
-
-def power_homotopy_obstruction(p: int, q: int, a: H1Vector,
-                               b: H1Vector) -> PowerHomotopyResult:
-    """Necessary condition for the p-th and q-th powers to be freely homotopic.
-
-    Transversality forces p * Int(a, T) = q * Int(b, T) on every transverse
-    torus.  Obstructed names the first torus violating it; Unobstructed only
-    means this necessary condition holds.
-    """
-    if p == 0 or q == 0:
-        raise ValueError("powers must be nonzero")
-    if len(a) != len(b):
-        raise ValueError("classes must have equal length")
-    for t in range(1, len(a) + 1):
-        if p * intersection(a, t) != q * intersection(b, t):
-            return PowerHomotopyResult(OBSTRUCTED, t)
-    return PowerHomotopyResult(UNOBSTRUCTED, None)
 
 
 def config_to_json(cfg) -> str:

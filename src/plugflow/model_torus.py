@@ -72,14 +72,6 @@ def _is_multiple(value: Coord, step: Fraction) -> bool:
     return (Fraction(value) / step).denominator == 1
 
 
-def coords_equal(a: Coord, b: Coord, modulus: int) -> bool:
-    """Equality in R/(modulus)Z, exact when both sides are rational."""
-    if isinstance(a, float) or isinstance(b, float):
-        d = abs(float(norm_mod(a, modulus)) - float(norm_mod(b, modulus)))
-        return min(d, modulus - d) < FLOAT_TOL
-    return norm_mod(a, modulus) == norm_mod(b, modulus)
-
-
 @dataclass(frozen=True)
 class TorusPoint:
     """A point on the i-th model torus, x mod 2i+2 and y mod 1."""
@@ -142,21 +134,6 @@ class ModelLeaf:
     x0: Coord | None = None
     annulus: ReebAnnulusId | None = None
     c: float | None = None
-
-
-@dataclass(frozen=True)
-class ModelStrip:
-    """Open band between the noncompact leaves with constants c_lo < c_hi."""
-
-    i: int
-    foliation: str
-    annulus: ReebAnnulusId
-    c_lo: float
-    c_hi: float
-
-    def __post_init__(self):
-        if not self.c_lo < self.c_hi:
-            raise ValueError("strip needs c_lo < c_hi")
 
 
 def compact_leaf_positions(i: int, foliation: str) -> list[Fraction]:

@@ -34,14 +34,6 @@ AXIOMS = (
     "sigma is an involutive diffeomorphism with sigma_* X = -X",
 )
 
-#: orientation conventions, stored for the frame bookkeeping below
-ORIENTATION_RULES = {
-    "O1": "sigma reverses the ambient orientation",
-    "O2": "the vector field crosses the fibers positively",
-    "O3": "contracting-holonomy orientation agrees with the dynamical one on u-leaves only",
-    "O4": "annulus cyclic order follows the fiber-boundary orientation iff i is even",
-}
-
 
 def component_of(i: int, side: str) -> str:
     """Which component (+/-) holds the torus T_i on the given side."""
@@ -64,16 +56,8 @@ class LaminationAnnulus:
                 leaf_name(self.i, (self.j + 1) % m, self.foliation))
 
 
-def annulus_name(i: int, j: int, foliation: str) -> str:
-    return f"A_{i}^{j},{foliation}"
-
-
 def leaf_name(i: int, j: int, foliation: str) -> str:
     return f"c_{i}^{j},{foliation}"
-
-
-def orbit_name(i: int, j: int, sign: str) -> str:
-    return f"gamma_{i}^{j},{sign}"
 
 
 @dataclass(frozen=True)
@@ -185,22 +169,6 @@ def genus_of_surface(n: int) -> int:
 
 
 # -- boundary frames ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class FrameAtCompactLeaf:
-    """Frame at a point of a compact leaf: e1 across the leaf towards the next
-    annulus, e2 along the leaf (direction given by the holonomy choice), e3
-    the flow direction.  Its orientation sign is a function of the discrete
-    data alone."""
-
-    i: int
-    foliation: str
-    e2_choice: str   # "contracting" | "expanding"
-
-    @property
-    def sign(self) -> int:
-        return frame_sign(self.i, self.foliation, self.e2_choice)
-
 
 def frame_sign(i: int, foliation: str, e2_choice: str) -> int:
     """Orientation sign of the boundary frame (e1, e2, e3) at a compact leaf.

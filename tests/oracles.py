@@ -107,15 +107,3 @@ def affine_fixed_point(model, j: int) -> tuple[float, float]:
     a_star = a_const / (1 - 1 / mu ** 2)
     b_star = b_const / (1 - mu ** 2)
     return a_star, b_star
-
-
-def frame_parity_fold(labels) -> str:
-    """Expected-sequence comparison: one flip per crossing, one per deviation."""
-    if not labels:
-        return "consistent"
-    expected = [labels[0]]
-    while len(expected) < len(labels):
-        expected.append("u" if expected[-1] == "s" else "s")
-    deviations = sum(1 for a, b in zip(labels, expected) if a != b)
-    sign = (-1) ** (len(labels) + deviations)
-    return "consistent" if sign == 1 else "inconsistent"

@@ -140,6 +140,23 @@ def test_bad_pair_list_writes_nothing(tmp_path, pairs):
     assert not (tmp_path / "certs").exists()
 
 
+def test_reversed_pair_is_normalised(tmp_path, capsys):
+    out = tmp_path / "certs"
+    assert run(["distinguish", "--n", 2, "--k", 7, "--m1", 2, "--m2", 1,
+                "--out", out]) == 0
+    assert os.listdir(out) == ["certificate_m1_m2.json"]
+    assert capsys.readouterr().out.startswith("(1,2): Inequivalent -> ")
+
+
+@pytest.mark.parametrize("pairs", [[[1, 2], [2, 1], [1, 2]], [[1, 3], [1, 3]]])
+def test_duplicate_pair_writes_nothing(tmp_path, pairs):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"n": 2, "k": 7, "pairs": pairs,
+                                   "out": str(tmp_path / "certs")}))
+    assert run(["--config", cfgfile, "distinguish"]) == cli.EXIT_USAGE
+    assert not (tmp_path / "certs").exists()
+
+
 #: sha256 of every certificate byte and exit code of the all-pairs runs
 #: below, taken before the end chains were reused across the pairs of a run
 ALL_PAIRS_DIGEST = "47d571d8e107d1f6c2490a9548c4d3f0c4fa7db5dbd6a8e8bf0d2faa268118cb"
@@ -265,6 +282,20 @@ def test_orbit_space_extended(tmp_path):
     assert len(doc["lozenges"]) == 9
 
 
+@pytest.mark.parametrize("argv", [
+    ["--extend", "uu"], ["--extend", "su s"], ["--extend", "x"], ["--k", 0]])
+def test_orbit_space_checks_settings_before_building(tmp_path, monkeypatch, argv):
+    from plugflow import orbit_space
+
+    def unreachable(*a):
+        raise AssertionError("the fan was built")
+
+    monkeypatch.setattr(orbit_space, "old_fan_cluster", unreachable)
+    assert run(["orbit-space", "--n", 2, "--i", 3, *argv,
+                "--out", tmp_path / "os.json"]) == cli.EXIT_USAGE
+    assert os.listdir(tmp_path) == []
+
+
 def test_config_overrides(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"n": 2, "k": 7, "i": 3,
@@ -272,6 +303,61 @@ def test_config_overrides(tmp_path):
     assert run(["--config", cfgfile, "orbit-space"]) == 0
     doc = json.loads((tmp_path / "os.json").read_text())
     assert len(doc["lozenges"]) == 15
+
+
+def test_flag_takes_precedence_over_config(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"n": 2, "k": -7}))
+    out = tmp_path / "inv.json"
+    assert run(["--config", cfgfile, "invariants", "--n", 1, "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["n"], doc["k"]) == (1, -7)
+
+
+@pytest.mark.parametrize("command, cfg", [
+    # keys the command does not read
+    ("distinguish", {"n": 2, "k": 7, "pair": [[1, 2]]}),
+    ("plug", {"n": 1, "k": 7}),
+    ("plot", {"i": 1, "n": 1}),
+    ("orbit-space", {"n": 1, "mu": 4.0}),
+    # a config that is not a JSON object
+    ("invariants", [1, 2]),
+    ("distinguish", [1, 2]),
+    ("plug", [1, 2]),
+    ("orbit-space", "n"),
+    # values that do not convert
+    ("distinguish", {"n": 1, "interval": 5}),
+    ("distinguish", {"n": 1, "interval": [0.0, 0.25, 0.5]}),
+    ("invariants", {"n": 1, "interval": 5}),
+    ("distinguish", {"n": 1, "s_offsets": [0.1]}),
+    ("distinguish", {"n": 1, "mu": "fast"}),
+    ("invariants", {"n": "two"}),
+    ("plot", {"i": [1]}),
+    ("orbit-space", {"extend": "uu"}),
+    ("plug", {"out": 5}),
+    ("plot", {"out": ""}),
+    ("plot", {"i": float("inf")}),
+    # values out of range
+    ("plug", {"n": 0}),
+    ("invariants", {"k": 0}),
+    ("orbit-space", {"k": 0}),
+])
+def test_bad_config_exits_usage_and_writes_nothing(tmp_path, monkeypatch, command, cfg):
+    # every command writes to its default path, in the working directory
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(cfg))
+    assert run(["--config", "cfg.json", command]) == cli.EXIT_USAGE
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe{"])
+def test_unreadable_config_is_usage_error(tmp_path, content):
+    cfgfile = tmp_path / "cfg.json"
+    if content is not None:
+        cfgfile.write_bytes(content)
+    assert run(["--config", cfgfile, "plug",
+                "--out", tmp_path / "plug.json"]) == cli.EXIT_USAGE
+    assert not (tmp_path / "plug.json").exists()
 
 
 def test_crossing_model_config(tmp_path):
@@ -297,3 +383,14 @@ def test_verdict_mismatch_exit_code(tmp_path, monkeypatch):
     code = run(["distinguish", "--n", 2, "--k", 7, "--m1", 1, "--m2", 2,
                 "--out", tmp_path / "certs"])
     assert code == cli.EXIT_VERDICT_MISMATCH
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_inner_value_or_key_error_is_internal_failure(tmp_path, monkeypatch, error):
+    from plugflow import plug
+
+    def broken(n):
+        raise error("inner failure")
+
+    monkeypatch.setattr(plug, "build_plug", broken)
+    assert run(["plug", "--n", 1, "--out", tmp_path / "plug.json"]) == cli.EXIT_INTERNAL

@@ -1,13 +1,12 @@
-"""Gluing rules, strip selection, rectangles and the markovian fixed point."""
+"""Gluing rules, the crossing model and the markovian fixed point."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from plugflow import gluing, model_torus as mt
-from plugflow.homology import alpha_class, h1_scale, h1_zero, intersection
 
 from oracles import affine_fixed_point, pattern_rule
 
@@ -47,13 +46,13 @@ def test_pattern_matches_rule_everywhere():
 
 @given(st.integers(1, 6), st.integers(-30, 30), st.integers(-30, 30))
 def test_integer_overlap_agrees_with_exact_fraction_arithmetic(i, a2, b2):
-    # the fast half-integer path must agree with the general exact overlap
+    # the pattern's doubled integer units must agree with the exact fractions
     c = 2 * i + 2
     a = (Fraction(a2, 2), Fraction(a2, 2) + 1)
     b = (Fraction(b2, 2), Fraction(b2, 2) + 1)
     exact = mt.interval_overlap_length(a, b, c) > 0
-    fast = gluing._circle_overlap_positive(a2, a2 + 2, b2, b2 + 2, 2 * c)
-    assert exact == fast
+    doubled = mt.interval_overlap_length((a2, a2 + 2), (b2, b2 + 2), 2 * c) > 0
+    assert exact == doubled
 
 
 def test_pattern_hits_two_annuli_and_one_compact_leaf():
@@ -69,38 +68,6 @@ def test_pattern_hits_two_annuli_and_one_compact_leaf():
                 if any(image[0] < Fraction(x + t * c) < image[1]
                        for t in (-1, 0, 1))]
             assert len(interior_leaves) == 1
-
-
-# -- strips -------------------------------------------------------------------------
-
-def test_select_strips_relations():
-    sel = gluing.select_strips(1, 2)
-    assert set(sel.ds) == {1, 2} and set(sel.du) == {1, 2}
-    assert sel.relations["Du_2"] == "Theta(Ds_1)"
-    assert sel.relations["Ds_2"] == "sigma.Theta(Ds_1)"
-
-
-def test_strips_live_in_the_mirror_fixed_annulus():
-    sel = gluing.select_strips(1, 1)
-    for t, strip in sel.ds.items():
-        lo, hi = strip.annulus.interval()
-        assert (lo, hi) == (Fraction(0), Fraction(1))
-        # the axial symmetry x -> 1-x maps this interval onto itself
-        assert {mt.norm_mod(1 - hi, 2 * t + 2),
-                mt.norm_mod(1 - lo, 2 * t + 2)} <= {Fraction(0), Fraction(1)}
-
-
-def test_sigma_theta_squared_is_identity_on_strips():
-    # sigma.Theta exchanges the two stable strips, so doing it twice fixes them
-    sel = gluing.select_strips(2, 2)
-    exchanged = {3: sel.ds[4], 4: sel.ds[3]}
-    double = {3: exchanged[4], 4: exchanged[3]}
-    assert double == dict(sel.ds)
-
-
-def test_select_strips_range_check():
-    with pytest.raises(ValueError):
-        gluing.select_strips(3, 1)
 
 
 # -- the crossing model ----------------------------------------------------------------
@@ -163,37 +130,12 @@ def test_untied_anchors_would_break_the_conjugation_law():
     assert abs(conj[0] - inv[0]) > 1e-3
 
 
-# -- rectangles -------------------------------------------------------------------------
-
-def test_rectangles_count_zero():
-    model = gluing.ModelCrossingMap(n=1)
-    assert gluing.rectangles(model, 0, 1, 0) == []
-
+# -- rectangle chirality ------------------------------------------------------------
 
 def test_rectangle_chirality_rule():
     assert gluing.rectangle_chirality(0, 1) == "R"
     assert gluing.rectangle_chirality(1, 1) == "L"
     assert gluing.rectangle_chirality(1, 2) == "R"
-
-
-def test_theta_maps_r_components_to_l_components_elementwise():
-    model = gluing.ModelCrossingMap(n=1)
-    r_list = gluing.rectangles(model, 0, 1, 5)       # j=1 > m=0: R components
-    l_list = gluing.rectangles(model, 1, 1, 5)       # j=1 <= m=1: L components
-    assert [gluing.theta_rectangle(r) for r in r_list] == l_list
-
-
-def test_component_lists_agree_when_j_exceeds_both_m():
-    model = gluing.ModelCrossingMap(n=2)
-    assert gluing.rectangles(model, 1, 2, 4) == gluing.rectangles(model, 0, 2, 4)
-
-
-def test_rectangle_x_regions_mirror():
-    model = gluing.ModelCrossingMap(n=1)
-    (r,) = gluing.rectangles(model, 0, 1, 1)
-    (l,) = gluing.rectangles(model, 1, 1, 1)
-    assert r.x_region == (Fraction(1, 2), Fraction(1))
-    assert l.x_region == (Fraction(0), Fraction(1, 2))
 
 
 # -- the fixed point ----------------------------------------------------------------------
@@ -271,45 +213,3 @@ def test_reverse_composition_same_fixed_point():
     # fwd is fixed for the forward square, hence for its inverse as well
     assert image[0] == pytest.approx(fwd[0], abs=1e-8)
     assert image[1] == pytest.approx(fwd[1], abs=1e-8)
-
-
-# -- descriptors and framing -----------------------------------------------------------------
-
-def test_flow_descriptor_validation():
-    with pytest.raises(ValueError):
-        gluing.FlowDescriptor(1, 3, 7)
-    with pytest.raises(ValueError):
-        gluing.FlowDescriptor(1, 0, 0)
-    assert gluing.FlowDescriptor(1, 1, 7).k_large
-    assert not gluing.FlowDescriptor(1, 1, 1).k_large
-
-
-def test_surgery_framing_classes():
-    fr = gluing.surgery_framing(1, 1, 1)
-    assert fr.meridian == h1_zero(1)
-    assert fr.longitude == alpha_class(1, 1)
-    assert fr.surgered_meridian == alpha_class(1, 1)
-
-
-def test_surgery_framing_scales():
-    fr = gluing.surgery_framing(2, -2, 2)
-    assert fr.surgered_meridian == h1_scale(-2, alpha_class(2, 2))
-
-
-@given(st.integers(1, 3), st.integers(-9, 9).filter(bool))
-@settings(max_examples=40)
-def test_surgered_meridian_meets_even_torus_k_times(n, k):
-    for j in range(1, 2 * n + 1):
-        fr = gluing.surgery_framing(j, k, n)
-        assert intersection(fr.surgered_meridian, 2 * j) == k
-
-
-def test_surgery_framing_rejects_zero():
-    with pytest.raises(ValueError):
-        gluing.surgery_framing(1, 0, 1)
-
-
-def test_local_stable_is_annulus_everywhere():
-    for m in range(3):
-        for j in (1, 2):
-            assert gluing.local_stable_is_annulus(m, j)

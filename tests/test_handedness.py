@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 from plugflow import handedness as hd
 from plugflow.homology import NewLozengeData
 
-from oracles import frame_parity_fold
-
 
 def alternating(k, start="s"):
     labels = [start]
@@ -20,50 +18,6 @@ def plain_sa(k, start="s"):
     return hd.SAAnnulus(tuple(f"B{t}" for t in range(k)),
                         alternating(k - 1, start),
                         tuple(f"o{t}" for t in range(k - 1)), ("b0", "b1"))
-
-
-# -- frame consistency -----------------------------------------------------------
-
-def test_old_annuli_consistent():
-    for i in (1, 2, 3):
-        sa = hd.old_sa_annulus(i, 0, max(1, -(-i // 4)))
-        assert len(sa) == 4 * i + 3
-        assert hd.frame_consistency(sa) == "consistent"
-
-
-def test_even_length_rejected():
-    with pytest.raises(hd.EvenChainError):
-        hd.frame_consistency(plain_sa(8))
-
-
-def test_flipped_interior_label_detected():
-    k = 7
-    labels = list(alternating(k - 1))
-    labels[3] = labels[2]  # corrupt one interior adjacency
-    sa = hd.SAAnnulus(tuple(f"B{t}" for t in range(k)), tuple(labels),
-                      tuple(f"o{t}" for t in range(k - 1)), ("b0", "b1"))
-    assert hd.frame_consistency(sa) == "inconsistent"
-    assert frame_parity_fold(labels) == "inconsistent"
-
-
-@given(st.integers(1, 6), st.sampled_from(["s", "u"]))
-def test_frame_consistency_matches_fold_oracle(half, start):
-    k = 2 * half + 1
-    sa = plain_sa(k, start)
-    assert hd.frame_consistency(sa) == frame_parity_fold(sa.adjacency_labels)
-
-
-@given(st.integers(1, 6), st.sampled_from(["s", "u"]),
-       st.data())
-def test_frame_consistency_reversal_invariant(half, start, data):
-    k = 2 * half + 1
-    labels = list(alternating(k - 1, start))
-    if labels and data.draw(st.booleans()):
-        pos = data.draw(st.integers(0, len(labels) - 1))
-        labels[pos] = "u" if labels[pos] == "s" else "s"
-    sa = hd.SAAnnulus(tuple(f"B{t}" for t in range(k)), tuple(labels),
-                      tuple(f"o{t}" for t in range(k - 1)), ("b0", "b1"))
-    assert hd.frame_consistency(sa) == hd.frame_consistency(sa.reversed())
 
 
 # -- the L/R table ----------------------------------------------------------------
@@ -164,8 +118,19 @@ def test_make_sa_annulus_validates():
                            ("b0", "b1"))
 
 
+def test_old_annuli_consistent():
+    # an odd, strictly alternating chain transports the boundary frame to the
+    # same orientation at both ends
+    for i in (1, 2, 3):
+        sa = hd.old_sa_annulus(i, 0, max(1, -(-i // 4)))
+        assert len(sa) == 4 * i + 3
+        assert sa.is_alternating()
+        assert len(sa.adjacency_labels) == len(sa) - 1
+
+
 def test_old_annulus_length_and_origin():
-    sa = hd.old_sa_annulus(2, 1, 1)
-    assert len(sa) == 11
-    assert sa.origin == ("old", 2)
-    assert sa.n == 1
+    for i in (1, 2, 3):
+        sa = hd.old_sa_annulus(i, 1, 1)
+        assert len(sa) == 4 * i + 3
+        assert sa.origin == ("old", i)
+        assert sa.n == 1

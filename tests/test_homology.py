@@ -196,28 +196,6 @@ def test_sa_extension_exactly_one_handedness(k, s):
     assert sorted(tags.values()) == [hom.CONSISTENT, hom.FORBIDDEN]
 
 
-# -- free homotopy powers ---------------------------------------------------------------
-
-def test_power_obstruction_basic():
-    r = hom.power_homotopy_obstruction(1, 1, (1, 1, 0, 0), (0, 0, 1, 1))
-    assert r.tag == hom.OBSTRUCTED and r.torus == 1
-
-
-def test_power_obstruction_unobstructed():
-    r = hom.power_homotopy_obstruction(2, 1, (1, 0, 0, 0), (2, 0, 0, 0))
-    assert r.tag == hom.UNOBSTRUCTED
-
-
-def test_power_obstruction_three_vs_two():
-    r = hom.power_homotopy_obstruction(3, 2, (1, 0, 0, 0), (1, 0, 0, 0))
-    assert r.tag == hom.OBSTRUCTED and r.torus == 1
-
-
-def test_power_obstruction_rejects_zero_powers():
-    with pytest.raises(ValueError):
-        hom.power_homotopy_obstruction(0, 1, (1,), (1,))
-
-
 # -- framing helpers ---------------------------------------------------------------------
 
 def test_surgery_correction_linearity():

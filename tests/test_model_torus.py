@@ -185,13 +185,7 @@ def test_theta_preserves_leaf_constants_on_fixed_annulus():
             assert leaf.c == pytest.approx(c0, abs=1e-12)
 
 
-# -- strips and misc -----------------------------------------------------------------
-
-def test_model_strip_validation():
-    ann = mt.ReebAnnulusId(1, "s", 0)
-    with pytest.raises(ValueError):
-        mt.ModelStrip(1, "s", ann, 0.7, 0.2)
-
+# -- misc -----------------------------------------------------------------
 
 def test_torus_point_normalizes_rationally():
     p = mt.TorusPoint(1, Fraction(9, 2), Fraction(-1, 4))

@@ -124,14 +124,6 @@ def test_contracting_orientation_rule():
     assert not plug.contracting_equals_dynamical("s")
 
 
-@given(st.integers(1, 12), st.sampled_from(["s", "u"]),
-       st.sampled_from(["contracting", "expanding"]))
-def test_frame_record_sign_matches_function(i, fol, choice):
-    frame = plug.FrameAtCompactLeaf(i, fol, choice)
-    assert frame.sign == plug.frame_sign(i, fol, choice)
-    assert frame.sign in (-1, 1)
-
-
 # -- serialization ---------------------------------------------------------------------
 
 def test_json_round_trip():
