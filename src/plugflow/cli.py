@@ -23,7 +23,7 @@ import tempfile
 
 from . import distinguisher, gluing, handedness, model_torus as mt, plug
 from . import orbit_space as osp
-from .homology import NewLozengeData
+from .homology import one_crossing
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,6 +54,13 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _integer(value) -> int:
+    """An integer as given: floats, bools and numeric strings do not convert."""
+    if type(value) is not int:
+        raise TypeError("expected an integer")
+    return value
+
+
 def _offsets(value) -> dict[int, float]:
     if not isinstance(value, dict):
         raise TypeError("expected an object of torus: offset")
@@ -79,8 +86,9 @@ def _extension(value) -> str:
 
 
 #: how a given setting is read; a value that does not convert is a usage error
-_CONVERT = {"n": int, "k": int, "i": int, "mu": float, "s_offsets": _offsets,
-            "interval": _interval, "out": _path, "extend": _extension}
+_CONVERT = {"n": _integer, "k": _integer, "i": _integer, "mu": float,
+            "s_offsets": _offsets, "interval": _interval, "out": _path,
+            "extend": _extension}
 
 #: keys of one distinguish run; invariants reads the same run configuration
 _RUN_DEFAULTS = {"n": 1, "k": 7, "pairs": None, "out": None, "mu": None,
@@ -181,12 +189,11 @@ def _distinguish_pairs(args, s: dict) -> list[tuple[int, int]]:
                 if distinguisher.proven_range(*p, n)]
     pairs = []
     for p in given:
-        if not (isinstance(p, list) and len(p) == 2
-                and all(type(m) is int for m in p)):
+        if not (isinstance(p, list) and len(p) == 2):
             raise _UsageError(f"pair {p!r} is not a list of two integers")
         try:
-            pair = distinguisher.check_pair(*p, n)
-        except ValueError as exc:
+            pair = distinguisher.check_pair(*map(_integer, p), n)
+        except (TypeError, ValueError) as exc:
             raise _UsageError(f"pair ({p[0]},{p[1]}): {exc}")
         if pair in pairs:
             raise _UsageError(f"pair ({pair[0]},{pair[1]}) is listed twice")
@@ -287,16 +294,9 @@ def cmd_orbit_space(args) -> int:
         raise _UsageError(f"i must be in [1, {4 * n}]")
     out = s["out"] or f"orbit_space_T{i}.json"
     fan = osp.old_fan_cluster(i, 0)
-    lozenges = list(fan.lozenges)
-    ends = osp.fan_end_slots(fan)
-    free = osp.free_slots(fan.lozenges)
-    j = gluing.crossing_orbit_index(i)
-    for fol in s["extend"]:
-        s_vec = [0] * (2 * n)
-        s_vec[j - 1] = 1
-        slot = ends[fol]
-        lozenges.append(osp.attach(osp.AttachmentSite(free[slot], slot),
-                                   NewLozengeData(tuple(s_vec)), f"ext-{fol}"))
+    new_data = one_crossing(gluing.crossing_orbit_index(i), n)
+    lozenges = list(fan.lozenges) + [osp.extend_fan(fan, fol, new_data)
+                                     for fol in s["extend"]]
     shape = osp.classify_maximal(lozenges, k)
     doc = json.loads(osp.cluster_to_json(lozenges))
     doc["classification"] = (

@@ -13,13 +13,12 @@ intersection positivity forbids for one of them whatever the sign of k.
 Pairs touching m = 0 or m = 2n are reported Inconclusive: the argument is
 only run inside the range where it is actually proved.
 
-Every Inequivalent verdict carries a certificate whose witnesses re-verify
-against the handedness and homology modules; verify_certificate does that
-replay.  Within one run (fixed n and k) the end chains do not depend on the
-pair, so an EndChains object builds each of them once and every pair of the
-run reuses it; the verifier never reads those values.  Verdict computation
-is otherwise pure, so pair enumeration parallelizes with any deterministic
-merge order.
+Each certificate branch has one constructor, which distinguish and
+verify_certificate share.  Within one run (fixed n and k) the end chains do
+not depend on the pair, so an EndChains object builds each of them once for
+every pair of the run; the verifier never reads it and takes its answers
+from old_handedness.  Verdict computation is otherwise pure, so pair
+enumeration parallelizes with any deterministic merge order.
 """
 
 from __future__ import annotations
@@ -30,9 +29,8 @@ from typing import Optional
 
 from . import orbit_space as osp
 from .gluing import crossing_orbit_index, rectangle_chirality
-from .handedness import (ExtensionAnswer, extendable_to_even, old_handedness,
-                         old_sa_annulus)
-from .homology import CONSISTENT, NewLozengeData, decide_sa_extension
+from .handedness import even_extension_allowed, old_handedness, old_sa_annulus
+from .homology import one_crossing
 from .plug import build_plug
 
 INEQUIVALENT = "Inequivalent"
@@ -76,18 +74,10 @@ def h_action_cases(i: int, m1: int, m2: int, n: int, k: int) -> list[HActionCase
     del m1, m2  # the case list itself does not depend on the pair
     cases = [HActionCase(1, None, True, "old fan maps to the unique old fan")]
     fan = osp.old_fan_cluster(i, 0)
-    ends = osp.fan_end_slots(fan)
-    sites = {slot: idx for idx, slot in
-             ((s.host_index, s.slot) for s in osp.attachment_sites(fan))}
-    j = crossing_orbit_index(i)
+    new_data = one_crossing(crossing_orbit_index(i), n)
     for fol in ("u", "s"):
-        slot = ends[fol]
-        host = sites[slot]
-        s_vec = [0] * (2 * n)
-        s_vec[j - 1] = 1
-        new = osp.attach(osp.AttachmentSite(host, slot), NewLozengeData(tuple(s_vec)),
-                         f"ext-{fol}")
-        shape = osp.classify_maximal(list(fan.lozenges) + [new], k)
+        shape = osp.classify_maximal(
+            list(fan.lozenges) + [osp.extend_fan(fan, fol, new_data)], k)
         want = f"C_i^{fol}"
         feasible = isinstance(shape, osp.MaximalShape) and shape.tag == want
         gate = (f"extension lozenge classifies as {want}" if feasible
@@ -165,6 +155,36 @@ def check_pair(m1: int, m2: int, n: int) -> tuple[int, int]:
     return m1, m2
 
 
+def _preserving_branch(i: int, m1: int, m2: int, n: int) -> Optional[BranchCertificate]:
+    """The preserving branch witnessed by T_i, or None if its handedness agrees."""
+    h1, h2 = old_handedness(i, m1, n), old_handedness(i, m2, n)
+    if h1 == h2:
+        return None
+    return BranchCertificate(orientation="preserving", witness_torus=i,
+                             lemma="handedness-table",
+                             table_cells={f"({i},{m1})": h1, f"({i},{m2})": h2})
+
+
+def _reversing_branch(answers: dict[int, tuple[str, bool]], n: int,
+                      k: int) -> Optional[BranchCertificate]:
+    """The reversing branch from {end torus: (handedness, extension allowed)}.
+
+    Both end chains would be forced to grow even extensions; the one at
+    T_{4n-1} (k > 0) or T_1 (k < 0) cannot, else None.
+    """
+    refuting = 4 * n - 1 if k > 0 else 1
+    if answers[refuting][1]:
+        return None
+    return BranchCertificate(
+        orientation="reversing", witness_torus=refuting,
+        lemma="even-extension-rule",
+        table_cells={
+            "handedness": {str(i): hd for i, (hd, _) in answers.items()},
+            "extension_allowed": {str(i): ok for i, (_, ok) in answers.items()},
+            "sign_k": "+" if k > 0 else "-",
+        })
+
+
 class EndChains:
     """The even-extension answers of the end chains of one run (fixed n and k).
 
@@ -180,14 +200,14 @@ class EndChains:
     def __init__(self, n: int, k: int):
         self.n = n
         self.k = k
-        self._answers: dict[tuple[int, str], tuple[str, ExtensionAnswer]] = {}
+        self._answers: dict[tuple[int, str], tuple[str, bool]] = {}
 
-    def answer(self, i: int, m: int) -> tuple[str, ExtensionAnswer]:
-        """Handedness and even-extension answer of the old chain at T_i, m-th flow."""
+    def answer(self, i: int, m: int) -> tuple[str, bool]:
+        """(handedness, even extension allowed) of the old chain at T_i, m-th flow."""
         key = (i, rectangle_chirality(m, crossing_orbit_index(i)))
         if key not in self._answers:
-            sa = old_sa_annulus(i, m, self.n)
-            self._answers[key] = (sa.handedness, extendable_to_even(sa, self.k))
+            hd = old_sa_annulus(i, m, self.n).handedness
+            self._answers[key] = (hd, even_extension_allowed(hd, i, self.n, self.k))
         return self._answers[key]
 
 
@@ -209,87 +229,43 @@ def distinguish(m1: int, m2: int, n: int, k: int,
         return DistinguishVerdict(INCONCLUSIVE, m1, m2, n, k,
                                   reason="outside proven range")
 
-    # preserving branch: scan the torus indices whose crossing orbit flips
-    witness = None
-    for i in range(2 * m1 + 1, 2 * m2 + 1):
-        h1, h2 = old_handedness(i, m1, n), old_handedness(i, m2, n)
-        if h1 != h2:
-            witness = (i, h1, h2)
-            break
-    if witness is None:
+    # preserving branch: the first torus index whose crossing orbit flips
+    preserving = next(filter(None, (_preserving_branch(i, m1, m2, n)
+                                    for i in range(2 * m1 + 1, 2 * m2 + 1))), None)
+    if preserving is None:
         return DistinguishVerdict(INCONCLUSIVE, m1, m2, n, k,
                                   reason="no handedness witness found")
-    i_w, h1, h2 = witness
-    preserving = BranchCertificate(
-        orientation="preserving", witness_torus=i_w,
-        lemma="handedness-table",
-        table_cells={f"({i_w},{m1})": h1, f"({i_w},{m2})": h2})
-
-    # reversing branch: both endpoint chains would be forced to grow even
-    # extensions; one of the two is impossible for this sign of k
-    answers = {i_end: ends.answer(i_end, m1) for i_end in (1, 4 * n - 1)}
-    refuting = 4 * n - 1 if k > 0 else 1
-    if answers[refuting][1].allowed:
+    reversing = _reversing_branch(
+        {i_end: ends.answer(i_end, m1) for i_end in (1, 4 * n - 1)}, n, k)
+    if reversing is None:
         return DistinguishVerdict(INCONCLUSIVE, m1, m2, n, k,
                                   reason="even-extension obstruction failed")
-    reversing = BranchCertificate(
-        orientation="reversing", witness_torus=refuting,
-        lemma="even-extension-rule",
-        table_cells={
-            "handedness": {str(i_end): hd for i_end, (hd, _) in answers.items()},
-            "extension_allowed": {str(i_end): ans.allowed
-                                  for i_end, (_, ans) in answers.items()},
-            "sign_k": "+" if k > 0 else "-",
-        })
     return DistinguishVerdict(INEQUIVALENT, m1, m2, n, k,
                               branches=(preserving, reversing))
 
 
 def verify_certificate(verdict: DistinguishVerdict) -> bool:
-    """Replay every cell of a certificate from the handedness and homology modules.
+    """Rebuild both branches of a certificate and compare them whole.
 
     An Inconclusive verdict carries no branches.  An Inequivalent one must
-    lie in the proven range, and each branch must equal, lemma, witness and
-    every table cell, what the two modules give for its pair.
+    lie in the proven range, with its preserving witness in [2m1+1, 2m2];
+    its branches must then equal, in order, what the branch constructors
+    give from old_handedness and even_extension_allowed for its pair.
     """
     if verdict.tag == INCONCLUSIVE:
         return not verdict.branches
-    if verdict.tag != INEQUIVALENT or verdict.reason:
+    if verdict.tag != INEQUIVALENT or verdict.reason or not verdict.branches:
         return False
     m1, m2, n, k = verdict.m1, verdict.m2, verdict.n, verdict.k
     if k == 0 or not proven_range(m1, m2, n):
         return False
-    if sorted(b.orientation for b in verdict.branches) != ["preserving", "reversing"]:
+    i_w = verdict.branches[0].witness_torus
+    if not 2 * m1 + 1 <= i_w <= 2 * m2:
         return False
-    for b in verdict.branches:
-        i_w = b.witness_torus
-        if b.orientation == "preserving":
-            if not 2 * m1 + 1 <= i_w <= 2 * m2:
-                return False
-            h1, h2 = old_handedness(i_w, m1, n), old_handedness(i_w, m2, n)
-            if h1 == h2 or b.lemma != "handedness-table":
-                return False
-            if b.table_cells != {f"({i_w},{m1})": h1, f"({i_w},{m2})": h2}:
-                return False
-        else:
-            # both end chains are forced to extend; the one at the witness
-            # torus cannot, and which one that is follows the sign of k
-            hands, allowed = {}, {}
-            for i_end in (1, 4 * n - 1):
-                hands[str(i_end)] = old_handedness(i_end, m1, n)
-                s_vec = [0] * (2 * n)
-                s_vec[crossing_orbit_index(i_end) - 1] = 1
-                replay = decide_sa_extension(hands[str(i_end)], k,
-                                             NewLozengeData(tuple(s_vec)))
-                allowed[str(i_end)] = replay.tag == CONSISTENT
-            if i_w != (4 * n - 1 if k > 0 else 1) or allowed[str(i_w)]:
-                return False
-            if b.lemma != "even-extension-rule":
-                return False
-            if b.table_cells != {"handedness": hands, "extension_allowed": allowed,
-                                 "sign_k": "+" if k > 0 else "-"}:
-                return False
-    return True
+    hands = {i_end: old_handedness(i_end, m1, n) for i_end in (1, 4 * n - 1)}
+    answers = {i: (hd, even_extension_allowed(hd, i, n, k)) for i, hd in hands.items()}
+    return verdict.branches == (_preserving_branch(i_w, m1, m2, n),
+                                _reversing_branch(answers, n, k))
 
 
 # -- non-R-covered certificates -----------------------------------------------------

@@ -16,17 +16,20 @@ once so that the resulting table is
     i odd:  L iff j <= m          i even:  R iff j <= m
 
 which is also the calibration anchor documented on old_handedness.
+even_extension_allowed is the one home of the even-extension rule: it feeds
+the branch constructor that distinguish (through EndChains) and the verifier
+share, and the verifier never reads EndChains.
 All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import orbit_space as osp
 from .gluing import crossing_orbit_index, rectangle_chirality
-from .homology import CONSISTENT, NewLozengeData, Verdict, decide_sa_extension
+from .homology import CONSISTENT, decide_sa_extension, one_crossing
 from .plug import frame_sign
 
 L = "L"
@@ -41,8 +44,6 @@ class SAAnnulus:
     adjacency_labels: tuple[str, ...]
     interior_orbits: tuple[str, ...]
     boundary_orbits: tuple[str, str]
-    origin: Optional[tuple[str, int]] = None    # ("old", i) | ("extended", i)
-    n: Optional[int] = None
     handedness: Optional[str] = None
 
     def __post_init__(self):
@@ -62,12 +63,6 @@ class SAAnnulus:
     def is_alternating(self) -> bool:
         return all(a != b for a, b in zip(self.adjacency_labels,
                                           self.adjacency_labels[1:]))
-
-    def reversed(self) -> "SAAnnulus":
-        return SAAnnulus(self.components[::-1], self.adjacency_labels[::-1],
-                         self.interior_orbits[::-1],
-                         (self.boundary_orbits[1], self.boundary_orbits[0]),
-                         self.origin, self.n, self.handedness)
 
 
 def make_sa_annulus(components, adjacency_labels, interior_orbits, boundary_orbits,
@@ -108,45 +103,19 @@ def old_sa_annulus(i: int, m: int, n: int) -> SAAnnulus:
     handedness are both functions of that chirality.  A distinguish run
     therefore builds it once per (i, chirality), not once per pair.
     """
-    fan = osp.old_fan_cluster(i, m)
-    sa = osp.photo_inverse(fan, origin=("old", i), n=n)
-    return SAAnnulus(sa.components, sa.adjacency_labels, sa.interior_orbits,
-                     sa.boundary_orbits, origin=("old", i), n=n,
-                     handedness=old_handedness(i, m, n))
+    return replace(osp.photo_inverse(osp.old_fan_cluster(i, m)),
+                   handedness=old_handedness(i, m, n))
 
 
-@dataclass(frozen=True)
-class ExtensionAnswer:
-    allowed: bool
-    rule: Optional[str] = None        # which obstruction clause fired
-    verdict: Optional[Verdict] = None
+def even_extension_allowed(handedness: str, i: int, n: int, k: int) -> bool:
+    """Can the old chain at T_i, of this handedness, grow to an even one?
 
-
-def extendable_to_even(sa: SAAnnulus, k: int,
-                       s: Optional[NewLozengeData] = None) -> ExtensionAnswer:
-    """Can this odd chain grow to an even one by a surgery-born annulus?
-
-    Delegates the sign computation to the homology module; with the default
-    crossing data (one crossing of the orbit that punctures this torus) the
-    answer is no exactly for (R, k>0) and (L, k<0).
+    The surgery-born annulus crosses the orbit that punctures T_i once; the
+    homology module decides the signs, and the answer is no exactly for
+    (R, k>0) and (L, k<0).
     """
-    if sa.origin is None or sa.origin[0] != "old":
-        raise ValueError("extension rule applies to old chains")
-    if sa.handedness is None:
-        raise ValueError("chain has no handedness attached")
-    if sa.n is None:
-        raise ValueError("chain does not know its family size n")
-    if s is None:
-        j = crossing_orbit_index(sa.origin[1])
-        vec = [0] * (2 * sa.n)
-        vec[j - 1] = 1
-        s = NewLozengeData(tuple(vec))
-    verdict = decide_sa_extension(sa.handedness, k, s)
-    if verdict.tag == CONSISTENT:
-        return ExtensionAnswer(True, None, verdict)
-    rule = "even-extension-of-R-with-positive-k" if sa.handedness == R else \
-        "even-extension-of-L-with-negative-k"
-    return ExtensionAnswer(False, rule, verdict)
+    s = one_crossing(crossing_orbit_index(i), n)
+    return decide_sa_extension(handedness, k, s).tag == CONSISTENT
 
 
 def handedness_table(n: int) -> dict[int, list[str]]:

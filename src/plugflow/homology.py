@@ -86,6 +86,15 @@ class NewLozengeData:
         return len(self.s) // 2
 
 
+def one_crossing(j: int, n: int) -> NewLozengeData:
+    """Crossing data of an annulus that crosses alpha_j once and no other surgered orbit."""
+    if not 1 <= j <= 2 * n:
+        raise ValueError(f"j must be in [1, {2 * n}], got {j}")
+    s = [0] * (2 * n)
+    s[j - 1] = 1
+    return NewLozengeData(tuple(s))
+
+
 @dataclass(frozen=True)
 class Verdict:
     tag: str                       # Forbidden | Consistent
@@ -211,8 +220,7 @@ def decide_bridge(cfg: BridgeConfig) -> Verdict:
     return Verdict(CONSISTENT, None, "no crossing of the surgered orbits (vacuous)")
 
 
-def decide_sa_extension(handedness: str, k: int, s: NewLozengeData,
-                        boundary_class: H1Vector | None = None) -> Verdict:
+def decide_sa_extension(handedness: str, k: int, s: NewLozengeData) -> Verdict:
     """Can an odd separatrix-adjacent annulus of the given handedness grow one more component?
 
     Runs the signed intersection computation for the candidate even
@@ -221,17 +229,17 @@ def decide_sa_extension(handedness: str, k: int, s: NewLozengeData,
         R:  [beta] = -[alpha] - k * sum_j s_j [alpha_j]
         L:  [beta] = -[alpha] + k * sum_j s_j [alpha_j]
 
-    and positivity of Int(beta, .) decides.  With the default zero boundary
-    class this forbids exactly (R, k>0) and (L, k<0).
+    and positivity of Int(beta, .) decides.  The old boundary orbit alpha is
+    disjoint from the tori, so [alpha] = 0 (as BridgeConfig enforces for old
+    corners), and this forbids exactly (R, k>0) and (L, k<0).
     """
     if handedness not in ("L", "R"):
         raise ValueError("handedness must be 'L' or 'R'")
     if k == 0:
         raise ValueError("surgery index k must be nonzero")
     n = s.n
-    alpha = boundary_class if boundary_class is not None else h1_zero(n)
     sign = -1 if handedness == "R" else 1
-    beta = h1_add(h1_neg(alpha), h1_scale(sign, surgery_correction(k, s.s, n)))
+    beta = h1_scale(sign, surgery_correction(k, s.s, n))
     for t in range(1, 4 * n + 1):
         val = intersection(beta, t)
         if val < 0:

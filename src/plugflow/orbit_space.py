@@ -297,6 +297,13 @@ def attach(site: AttachmentSite, new_data: NewLozengeData, label: str) -> Lozeng
     return Lozenge(v, w, NEW, edges, new_data)
 
 
+def extend_fan(fan: FanCluster, fol: str, new_data: NewLozengeData) -> Lozenge:
+    """New lozenge continuing the fan at its `fol` end ('u' or 's', see fan_end_slots)."""
+    slot = fan_end_slots(fan)[fol]
+    return attach(AttachmentSite(free_slots(fan.lozenges)[slot], slot), new_data,
+                  f"ext-{fol}")
+
+
 def fan_end_slots(fan: FanCluster) -> dict[str, EdgeSlot]:
     """The two chain-extending slots, keyed by their foliation ('u' end / 's' end).
 
@@ -504,7 +511,7 @@ def photo(sa) -> FanCluster:
     return FanCluster(tuple(lozenges), tuple(sa.adjacency_labels))
 
 
-def photo_inverse(fan: FanCluster, origin=None, n: int | None = None):
+def photo_inverse(fan: FanCluster):
     """Separatrix-adjacent annulus data read off a fan cluster.
 
     Components are named canonically B0..B(k-1); orbit names are the fan's
@@ -517,8 +524,7 @@ def photo_inverse(fan: FanCluster, origin=None, n: int | None = None):
     boundary = (_corner_name(_outer_corner(fan, 0)),
                 _corner_name(_outer_corner(fan, len(fan.lozenges) - 1)))
     return SAAnnulus(components=comps, adjacency_labels=fan.labels,
-                     interior_orbits=interior, boundary_orbits=boundary,
-                     origin=origin, n=n)
+                     interior_orbits=interior, boundary_orbits=boundary)
 
 
 def _shared_corner(fan: FanCluster, t: int) -> Corner:

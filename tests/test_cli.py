@@ -341,6 +341,11 @@ def test_flag_takes_precedence_over_config(tmp_path):
     ("plug", {"n": 0}),
     ("invariants", {"k": 0}),
     ("orbit-space", {"k": 0}),
+    # n, k and i are integers as given: no truncation, no bools, no strings
+    ("invariants", {"n": 2.7}),
+    ("invariants", {"k": True}),
+    ("plot", {"i": 1.9}),
+    ("plug", {"n": "3"}),
 ])
 def test_bad_config_exits_usage_and_writes_nothing(tmp_path, monkeypatch, command, cfg):
     # every command writes to its default path, in the working directory

@@ -207,6 +207,7 @@ def _single_field_changes(v):
             yield branch(table_cells=cells)
         yield dataclasses.replace(v, branches=v.branches[:idx] + v.branches[idx + 1:])
         yield dataclasses.replace(v, branches=v.branches + (b,))
+    yield dataclasses.replace(v, branches=v.branches[::-1])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -235,7 +236,7 @@ def _forge(m1, m2, n, k):
         dist.BranchCertificate("reversing", 4 * n - 1 if k > 0 else 1,
                                "even-extension-rule", {
             "handedness": {i: hd for i, (hd, _) in answers.items()},
-            "extension_allowed": {i: a.allowed for i, (_, a) in answers.items()},
+            "extension_allowed": {i: ok for i, (_, ok) in answers.items()},
             "sign_k": "+" if k > 0 else "-"})))
 
 

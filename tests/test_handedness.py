@@ -7,19 +7,6 @@ from plugflow import handedness as hd
 from plugflow.homology import NewLozengeData
 
 
-def alternating(k, start="s"):
-    labels = [start]
-    while len(labels) < k:
-        labels.append("u" if labels[-1] == "s" else "s")
-    return tuple(labels)
-
-
-def plain_sa(k, start="s"):
-    return hd.SAAnnulus(tuple(f"B{t}" for t in range(k)),
-                        alternating(k - 1, start),
-                        tuple(f"o{t}" for t in range(k - 1)), ("b0", "b1"))
-
-
 # -- the L/R table ----------------------------------------------------------------
 
 def test_example_rows():
@@ -68,20 +55,13 @@ def test_out_of_range():
 def test_extension_rules():
     sa_r = hd.old_sa_annulus(1, 0, 1)      # R-type at m=0
     assert sa_r.handedness == "R"
-    assert not hd.extendable_to_even(sa_r, 7).allowed
-    assert hd.extendable_to_even(sa_r, -7).allowed
+    assert not hd.even_extension_allowed(sa_r.handedness, 1, 1, 7)
+    assert hd.even_extension_allowed(sa_r.handedness, 1, 1, -7)
 
     sa_l = hd.old_sa_annulus(1, 1, 1)      # L-type at m=1
     assert sa_l.handedness == "L"
-    assert hd.extendable_to_even(sa_l, 7).allowed
-    assert not hd.extendable_to_even(sa_l, -7).allowed
-
-
-def test_extension_rule_names_clause():
-    sa_r = hd.old_sa_annulus(1, 0, 1)
-    ans = hd.extendable_to_even(sa_r, 7)
-    assert ans.rule == "even-extension-of-R-with-positive-k"
-    assert ans.verdict.tag == "Forbidden"
+    assert hd.even_extension_allowed(sa_l.handedness, 1, 1, 7)
+    assert not hd.even_extension_allowed(sa_l.handedness, 1, 1, -7)
 
 
 @given(st.integers(-50, 50).filter(bool), st.integers(1, 2), st.integers(0, 4))
@@ -90,18 +70,12 @@ def test_extension_agrees_with_homology_cells(k, n, m):
     m = min(m, 2 * n)
     for i in (1, 2 * n):
         sa = hd.old_sa_annulus(i, m, n)
-        ans = hd.extendable_to_even(sa, k)
+        allowed = hd.even_extension_allowed(sa.handedness, i, n, k)
         j = (i + 1) // 2
         vec = [0] * (2 * n)
         vec[j - 1] = 1
         direct = decide_sa_extension(sa.handedness, k, NewLozengeData(tuple(vec)))
-        assert ans.allowed == (direct.tag == "Consistent")
-
-
-def test_extension_requires_old_origin():
-    sa = plain_sa(7)
-    with pytest.raises(ValueError):
-        hd.extendable_to_even(sa, 7)
+        assert allowed == (direct.tag == "Consistent")
 
 
 # -- misc ---------------------------------------------------------------------------
@@ -132,5 +106,4 @@ def test_old_annulus_length_and_origin():
     for i in (1, 2, 3):
         sa = hd.old_sa_annulus(i, 1, 1)
         assert len(sa) == 4 * i + 3
-        assert sa.origin == ("old", i)
-        assert sa.n == 1
+        assert sa.handedness == hd.old_handedness(i, 1, 1)
