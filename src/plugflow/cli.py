@@ -61,15 +61,22 @@ def _integer(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    """A real number as given: bools and numeric strings do not convert."""
+    if type(value) not in (int, float):
+        raise TypeError("expected a number")
+    return float(value)
+
+
 def _offsets(value) -> dict[int, float]:
     if not isinstance(value, dict):
         raise TypeError("expected an object of torus: offset")
-    return {int(t): float(v) for t, v in value.items()}
+    return {int(t): _number(v) for t, v in value.items()}
 
 
 def _interval(value) -> tuple[float, float]:
     lo, hi = value
-    return (float(lo), float(hi))
+    return (_number(lo), _number(hi))
 
 
 def _path(value) -> str:
@@ -86,7 +93,7 @@ def _extension(value) -> str:
 
 
 #: how a given setting is read; a value that does not convert is a usage error
-_CONVERT = {"n": _integer, "k": _integer, "i": _integer, "mu": float,
+_CONVERT = {"n": _integer, "k": _integer, "i": _integer, "mu": _number,
             "s_offsets": _offsets, "interval": _interval, "out": _path,
             "extend": _extension}
 
@@ -128,6 +135,8 @@ def _settings(args, defaults: dict) -> dict:
         raise _UsageError("n must be >= 1")
     if settings.get("k") == 0:
         raise _UsageError("k must be nonzero")
+    if any(not 1 <= t <= 4 * settings["n"] for t in settings.get("s_offsets") or ()):
+        raise _UsageError(f"s_offsets keys must be tori in [1, {4 * settings['n']}]")
     return settings
 
 

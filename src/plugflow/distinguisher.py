@@ -9,6 +9,11 @@ unique-old keeping handedness.  The orientation-reversing branch dies on
 the even-extension rule: the chains attached to T_1 (always L) and to
 T_{4n-1} (always R) would both be forced to grow even extensions, which the
 intersection positivity forbids for one of them whatever the sign of k.
+That premise (j = ceil(i/2) lies outside (m1, m2] for both end tori, so a
+reversing map cannot send their chains to the unique old chain) is the
+paper's case analysis and is not recomputed here; the one-lozenge
+extensions of an old fan and their classification are what
+`orbit-space --extend` writes.
 
 Pairs touching m = 0 or m = 2n are reported Inconclusive: the argument is
 only run inside the range where it is actually proved.
@@ -19,6 +24,9 @@ not depend on the pair, so an EndChains object builds each of them once for
 every pair of the run; the verifier never reads it and takes its answers
 from old_handedness.  Verdict computation is otherwise pure, so pair
 enumeration parallelizes with any deterministic merge order.
+
+non_r_covered_certificate computes the per-torus witness data for the
+non-R-covered half of the theorem; no command writes it yet.
 """
 
 from __future__ import annotations
@@ -27,82 +35,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import orbit_space as osp
 from .gluing import crossing_orbit_index, rectangle_chirality
 from .handedness import even_extension_allowed, old_handedness, old_sa_annulus
-from .homology import one_crossing
 from .plug import build_plug
 
 INEQUIVALENT = "Inequivalent"
 INCONCLUSIVE = "Inconclusive"
-
-MAPS_TO_UNIQUE_OLD = "maps-to-unique-old"
-FORCES_EVEN_EXTENSION = "forces-even-extension"
-
-
-@dataclass(frozen=True)
-class EquivalenceHypothesis:
-    m1: int
-    m2: int
-    orientation: str   # "preserving" | "reversing"
-
-    def __post_init__(self):
-        if not self.m1 < self.m2:
-            raise ValueError("hypothesis requires m1 < m2")
-        if self.orientation not in ("preserving", "reversing"):
-            raise ValueError("orientation must be 'preserving' or 'reversing'")
-
-
-@dataclass(frozen=True)
-class HActionCase:
-    case: int                    # 1: identity on the old fan, 2: shifted through an extension
-    edge_type: Optional[str]     # "u"/"s" for case 2
-    feasible: bool
-    gate: str
-
-
-def h_action_cases(i: int, m1: int, m2: int, n: int, k: int) -> list[HActionCase]:
-    """The two possible actions of an orbit-space map on the old fan of T_i.
-
-    Case 1 sends old to old.  Case 2 shifts the fan through a one-lozenge
-    extension; it is feasible only when the extended cluster still
-    classifies as the matching fan shape, and it can never exchange the u
-    and s extension types (the map preserves adjacent-edge types).
-    """
-    if not 1 <= i <= 4 * n:
-        raise ValueError(f"i out of range [1, {4 * n}]")
-    del m1, m2  # the case list itself does not depend on the pair
-    cases = [HActionCase(1, None, True, "old fan maps to the unique old fan")]
-    fan = osp.old_fan_cluster(i, 0)
-    new_data = one_crossing(crossing_orbit_index(i), n)
-    for fol in ("u", "s"):
-        shape = osp.classify_maximal(
-            list(fan.lozenges) + [osp.extend_fan(fan, fol, new_data)], k)
-        want = f"C_i^{fol}"
-        feasible = isinstance(shape, osp.MaximalShape) and shape.tag == want
-        gate = (f"extension lozenge classifies as {want}" if feasible
-                else f"extension rejected: {shape}")
-        cases.append(HActionCase(2, fol, feasible, gate))
-    return cases
-
-
-def hoTEB_outcome(i: int, hyp: EquivalenceHypothesis, k: int, n: int) -> str:
-    """What happens to the old chain of T_i under a hypothetical equivalence.
-
-    The deciding index is the crossing-orbit index j = ceil(i/2): preserving
-    maps always send the chain to the unique old chain; reversing maps do so
-    exactly when j lies in (m1, m2] (where the handedness table flips), and
-    otherwise force an even extension.
-    """
-    del k
-    if not 1 <= i <= 4 * n:
-        raise ValueError(f"i out of range [1, {4 * n}]")
-    if hyp.orientation == "preserving":
-        return MAPS_TO_UNIQUE_OLD
-    j = crossing_orbit_index(i)
-    if hyp.m1 < j <= hyp.m2:
-        return MAPS_TO_UNIQUE_OLD
-    return FORCES_EVEN_EXTENSION
 
 
 @dataclass(frozen=True)

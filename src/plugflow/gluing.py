@@ -151,11 +151,6 @@ class ModelCrossingMap:
         a, b = p
         return (self.s_off(t) + a / self.mu, self.u_off(t) + self.mu * b)
 
-    def theta_inverse(self, t: int, p: Point) -> Point:
-        """Inverse crossing map back into the stable strip on torus t."""
-        a, b = p
-        return ((a - self.s_off(t)) * self.mu, (b - self.u_off(t)) / self.mu)
-
     def glue(self, p: Point) -> Point:
         """Gluing step in constants: the involution and the half shift each swap
         the pair, so their composition is the identity."""
@@ -164,10 +159,6 @@ class ModelCrossingMap:
     def return_step(self, t: int, p: Point) -> Point:
         """One application of (gluing . crossing) out of torus t's rectangle."""
         return self.glue(self.theta(t, p))
-
-    def sigma_conjugate(self, t: int, p: Point) -> Point:
-        """sigma . Theta . sigma evaluated against the strip on torus t."""
-        return _swap(self.theta(t, _swap(p)))
 
     def validate(self) -> None:
         """Every rectangle image must cross the partner rectangle markovianly."""

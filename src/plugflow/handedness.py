@@ -60,20 +60,6 @@ class SAAnnulus:
     def __len__(self) -> int:
         return len(self.components)
 
-    def is_alternating(self) -> bool:
-        return all(a != b for a, b in zip(self.adjacency_labels,
-                                          self.adjacency_labels[1:]))
-
-
-def make_sa_annulus(components, adjacency_labels, interior_orbits, boundary_orbits,
-                    **kw) -> SAAnnulus:
-    """Validating constructor: rejects non-alternating adjacency data."""
-    sa = SAAnnulus(tuple(components), tuple(adjacency_labels),
-                   tuple(interior_orbits), tuple(boundary_orbits), **kw)
-    if not sa.is_alternating():
-        raise ValueError("separatrix-adjacency types must alternate")
-    return sa
-
 
 def old_handedness(i: int, m: int, n: Optional[int] = None) -> str:
     """Handedness of the old SA annulus attached to T_i in the m-th flow.

@@ -18,7 +18,6 @@ Pure functions on plain tuples; embarrassingly parallel over configurations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 H1Vector = tuple[int, ...]
@@ -101,10 +100,6 @@ class Verdict:
     witness_torus: int | None = None
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {"tag": self.tag, "witness_torus": self.witness_torus,
-                "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class TwoNewAdjacentConfig:
@@ -119,7 +114,6 @@ class TwoNewAdjacentConfig:
     defaults (-1, +1) are the standard convention.
     """
 
-    kind = "two-new-adjacent"
     n: int
     k: int
     omega1: H1Vector
@@ -147,12 +141,6 @@ class TwoNewAdjacentConfig:
         v2 = h1_add(h1_neg(self.omega3),
                     h1_scale(self.sign2, surgery_correction(self.k, self.s2.s, self.n)))
         return v1, v2
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "k": self.k,
-                "omega1": list(self.omega1), "omega3": list(self.omega3),
-                "s1": list(self.s1.s), "s2": list(self.s2.s),
-                "sign1": self.sign1, "sign2": self.sign2}
 
 
 def decide_two_new_adjacent(cfg: TwoNewAdjacentConfig) -> Verdict:
@@ -184,7 +172,6 @@ class BridgeConfig:
     rather than a NewLozengeData.
     """
 
-    kind = "old-new-old-bridge"
     n: int
     k: int
     omega1: H1Vector
@@ -203,11 +190,6 @@ class BridgeConfig:
             raise ValueError("s-vector has wrong length")
         if any(x < 0 for x in self.s):
             raise ValueError("crossing counts must be nonnegative")
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "k": self.k,
-                "omega1": list(self.omega1), "omega2": list(self.omega2),
-                "s": list(self.s), "sign": self.sign}
 
 
 def decide_bridge(cfg: BridgeConfig) -> Verdict:
@@ -247,7 +229,3 @@ def decide_sa_extension(handedness: str, k: int, s: NewLozengeData) -> Verdict:
                            f"Int(beta, T_{t}) forced to {val} < 0 "
                            f"({handedness}-type, k={k})")
     return Verdict(CONSISTENT, None, "forced boundary class is nonnegative")
-
-
-def config_to_json(cfg) -> str:
-    return json.dumps(cfg.to_json(), indent=2, sort_keys=True) + "\n"

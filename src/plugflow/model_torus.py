@@ -227,11 +227,6 @@ def _sub(a: Coord, b: Coord) -> Coord:
     return Fraction(a) - Fraction(b)
 
 
-def tau_interval(lo: Fraction, hi: Fraction, v: Fraction) -> tuple[Fraction, Fraction]:
-    """Image of the closed x-interval [lo, hi] under tau_v, as an unnormalized pair."""
-    return lo + v, hi + v
-
-
 def interval_overlap_length(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction],
                             modulus: int) -> Fraction:
     """Length of the overlap of two closed circle arcs given as lifted intervals."""

@@ -160,9 +160,6 @@ class OldChain:
         })
         return Lozenge(va, vb, OLD, edges)
 
-    def deck_shift(self, k: int) -> int:
-        return k + self.period
-
     def position_of(self, loz: Lozenge) -> int:
         """Inverse of lozenge(); raises if the lozenge is not on this chain."""
         ca = loz.corner_a
@@ -300,8 +297,8 @@ def attach(site: AttachmentSite, new_data: NewLozengeData, label: str) -> Lozeng
 def extend_fan(fan: FanCluster, fol: str, new_data: NewLozengeData) -> Lozenge:
     """New lozenge continuing the fan at its `fol` end ('u' or 's', see fan_end_slots)."""
     slot = fan_end_slots(fan)[fol]
-    return attach(AttachmentSite(free_slots(fan.lozenges)[slot], slot), new_data,
-                  f"ext-{fol}")
+    host = 0 if slot in fan.lozenges[0].edges else len(fan) - 1
+    return attach(AttachmentSite(host, slot), new_data, f"ext-{fol}")
 
 
 def fan_end_slots(fan: FanCluster) -> dict[str, EdgeSlot]:
@@ -476,46 +473,11 @@ def _fan_from_run(lozenges: Sequence[Lozenge], run: list[int]) -> FanCluster:
 # -- photos -------------------------------------------------------------------------
 
 
-def photo(sa) -> FanCluster:
-    """Fan cluster of lozenges mirroring a separatrix-adjacent annulus.
-
-    Corner names come from the annulus' orbit labels, so reading the photo
-    back recovers the annulus data elementwise.
-    """
-    from .handedness import SAAnnulus
-    if not isinstance(sa, SAAnnulus):
-        raise TypeError("photo expects a separatrix-adjacent annulus")
-    names = [sa.boundary_orbits[0], *sa.interior_orbits, sa.boundary_orbits[1]]
-    corners = [NewOrbitRef(name) for name in names]
-    lozenges = []
-    prev_slot = None
-    for t, comp in enumerate(sa.components):
-        va, vb = corners[t], corners[t + 1]
-        lab_prev = sa.adjacency_labels[t - 1] if t > 0 else None
-        lab_next = sa.adjacency_labels[t] if t < len(sa.adjacency_labels) else None
-        edges = set()
-        if lab_prev is None:
-            edges.add(EdgeSlot(va, "s", f"{comp}-open-s"))
-            edges.add(EdgeSlot(va, "u", f"{comp}-open-u"))
-        else:
-            edges.add(prev_slot)
-            edges.add(EdgeSlot(va, _other(lab_prev), f"{comp}-back"))
-        if lab_next is None:
-            edges.add(EdgeSlot(vb, "s", f"{comp}-close-s"))
-            edges.add(EdgeSlot(vb, "u", f"{comp}-close-u"))
-        else:
-            prev_slot = EdgeSlot(vb, lab_next, "shared")
-            edges.add(prev_slot)
-            edges.add(EdgeSlot(vb, _other(lab_next), f"{comp}-fwd"))
-        lozenges.append(Lozenge(va, vb, OLD, frozenset(edges)))
-    return FanCluster(tuple(lozenges), tuple(sa.adjacency_labels))
-
-
 def photo_inverse(fan: FanCluster):
     """Separatrix-adjacent annulus data read off a fan cluster.
 
     Components are named canonically B0..B(k-1); orbit names are the fan's
-    corner names, so photo . photo_inverse preserves all labels elementwise.
+    corner names, so the annulus keeps every label of the fan elementwise.
     """
     from .handedness import SAAnnulus
     comps = tuple(f"B{t}" for t in range(len(fan.lozenges)))

