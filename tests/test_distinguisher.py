@@ -8,8 +8,51 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plugflow import distinguisher as dist
+from plugflow import orbit_space as osp
 from plugflow.gluing import crossing_orbit_index
 from plugflow.handedness import old_handedness
+from plugflow.homology import one_crossing
+
+
+# -- action of an equivalence on an old fan ------------------------------------------
+#
+# A map of orbit spaces either sends the old fan of T_i to the unique old fan
+# (case 1) or shifts it through a one-lozenge extension at its u or s end
+# (case 2).  Case 2 is feasible only when the extended cluster still
+# classifies as the matching fan shape; this is the computation that
+# `orbit-space --extend u|s` writes.
+
+def _fan_action_shapes(i, n, k):
+    fan = osp.old_fan_cluster(i, 0)
+    new_data = one_crossing(crossing_orbit_index(i), n)
+    old = osp.classify_maximal(fan.lozenges, k)
+    ext = {fol: osp.classify_maximal(
+        list(fan.lozenges) + [osp.extend_fan(fan, fol, new_data)], k)
+        for fol in ("u", "s")}
+    return old, ext
+
+
+def test_h_action_lists_both_cases():
+    for i in (1, 2, 3):
+        old, ext = _fan_action_shapes(i, 2, 7)
+        assert old == osp.MaximalShape("C_i", i)
+        assert set(ext) == {"u", "s"}
+        assert all(isinstance(shape, osp.MaximalShape) for shape in ext.values())
+        assert ext["u"] != ext["s"]
+
+
+def test_h_action_case2_gated_by_classification():
+    _, ext = _fan_action_shapes(1, 2, 7)
+    for fol, shape in ext.items():
+        assert isinstance(shape, osp.MaximalShape)
+        assert shape.tag == f"C_i^{fol}"
+
+
+def test_h_action_case2_never_swaps_edge_types():
+    _, ext = _fan_action_shapes(2, 2, 7)
+    for fol, other in (("u", "s"), ("s", "u")):
+        assert ext[fol].tag.endswith(f"C_i^{fol}")
+        assert ext[fol].tag != f"C_i^{other}"
 
 
 # -- the reversing branch's premise -----------------------------------------------
