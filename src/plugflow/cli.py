@@ -3,7 +3,12 @@
 Subcommands: plug (dump the symbolic plug), invariants (handedness matrix
 and cluster sizes), distinguish (pairwise certificates), plot (SVG of one
 model bifoliation), orbit-space (cluster adjacency JSON).  All output is
-deterministic JSON or SVG; files are written atomically.  A JSON config
+deterministic JSON or SVG.  Every JSON file goes through the one writer,
+``jsonout.render``: its bytes are those of
+``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, and it joins its
+parts into chunks as it goes, so its peak memory stays near twice the
+output size.  Files are written atomically, with the mode ``open(path,
+"w")`` would give them under the current umask.  A JSON config
 file (--config) can set any flag and carries the crossing-model parameters;
 a flag given on the command line takes precedence over the config value.
 Config keys a command does not read are rejected as usage errors.
@@ -19,11 +24,11 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 
 from . import distinguisher, gluing, handedness, model_torus as mt, plug
 from . import orbit_space as osp
 from .homology import one_crossing
+from .jsonout import render
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,7 +48,9 @@ class _Parser(argparse.ArgumentParser):
 def _write_atomic(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}")
+    # created as open(path, "w") creates a file, so the umask sets its mode
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
@@ -71,7 +78,15 @@ def _number(value) -> float:
 def _offsets(value) -> dict[int, float]:
     if not isinstance(value, dict):
         raise TypeError("expected an object of torus: offset")
-    return {int(t): _number(v) for t, v in value.items()}
+    return {_torus_key(t): _number(v) for t, v in value.items()}
+
+
+def _torus_key(key: str) -> int:
+    """A torus named in canonical decimal, so that no two keys name one torus."""
+    t = int(key)
+    if str(t) != key:
+        raise ValueError(f"torus key {key!r} is not written as {str(t)!r}")
+    return t
 
 
 def _interval(value) -> tuple[float, float]:
@@ -176,7 +191,7 @@ def cmd_invariants(args) -> int:
                                       row["handedness_by_m"][1:]) if a != b)
         if flips > 1:
             raise AssertionError(f"handedness row {row['i']} is not a step function")
-    _write_atomic(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out, render(doc))
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -312,7 +327,7 @@ def cmd_orbit_space(args) -> int:
         {"tag": shape.tag, "i": shape.i, "lozenges": shape.lozenge_count()}
         if isinstance(shape, osp.MaximalShape)
         else {"not_classifiable": shape.reason, "detail": shape.detail})
-    _write_atomic(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out, render(doc))
     print(f"wrote {out}")
     return EXIT_OK
 

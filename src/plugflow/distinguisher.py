@@ -31,12 +31,12 @@ non-R-covered half of the theorem; no command writes it yet.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .gluing import crossing_orbit_index, rectangle_chirality
 from .handedness import even_extension_allowed, old_handedness, old_sa_annulus
+from .jsonout import render
 from .plug import build_plug
 
 INEQUIVALENT = "Inequivalent"
@@ -250,4 +250,4 @@ def non_r_covered_certificate(m: int, n: int) -> dict:
 
 
 def certificate_to_json(verdict: DistinguishVerdict) -> str:
-    return json.dumps(verdict.to_json(), indent=2, sort_keys=True) + "\n"
+    return render(verdict.to_json())

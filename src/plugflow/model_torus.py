@@ -252,8 +252,8 @@ def sample_leaf_polyline(annulus: ReebAnnulusId, c: float, samples: int = 120,
     Each returned segment is monotone in x; consecutive segments meet the wrap
     within interpolation accuracy (used by the plotting wrap check).
     """
-    lo, hi = annulus.interval()
-    xs = [float(lo) + margin + (float(hi) - float(lo) - 2 * margin) * t / (samples - 1)
+    lo, hi = map(float, annulus.interval())
+    xs = [lo + margin + (hi - lo - 2 * margin) * t / (samples - 1)
           for t in range(samples)]
     segments: list[list[tuple[float, float]]] = []
     current: list[tuple[float, float]] = []

@@ -23,7 +23,6 @@ corpora can be processed in parallel freely.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -33,6 +32,7 @@ from . import model_torus as mt
 from .homology import (FORBIDDEN, BridgeConfig, NewLozengeData,
                        TwoNewAdjacentConfig, decide_bridge,
                        decide_two_new_adjacent, h1_zero)
+from .jsonout import render
 
 OLD = "old"
 NEW = "new"
@@ -524,4 +524,4 @@ def cluster_to_json(lozenges: Sequence[Lozenge]) -> str:
         ],
         "adjacency": [[x, y, lab] for x, y, lab in adjacency_pairs(lozenges)],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return render(doc)

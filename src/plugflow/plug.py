@@ -23,6 +23,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .jsonout import render
+
 IN = "in"
 OUT = "out"
 PLUS = "+"
@@ -190,7 +192,7 @@ def plug_to_json(plug: PlugSpec) -> str:
             for o in sorted(plug.orbits.values(), key=lambda o: (o.i, o.j, o.sign))
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return render(doc)
 
 
 def plug_from_json(text: str) -> PlugSpec:

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import stat
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -179,6 +180,23 @@ def test_all_pairs_certificates_bytes_identical(tmp_path):
     assert h.hexdigest() == ALL_PAIRS_DIGEST
 
 
+#: sha256 of every plug and plot byte and exit code of the runs below, taken
+#: before every JSON document went through one writer
+ARTIFACTS_DIGEST = "c88f27337b1707340aae4a969f4fe3b4e0e07e020d275ff92e2f33d47859bae9"
+
+
+def test_artifacts_bytes_identical(tmp_path):
+    h = hashlib.sha256()
+    runs = ([("plug", "--n", n, f"plug_n{n}.json") for n in (1, 2, 3)]
+            + [("plot", "--i", i, f"bifoliation_T{i}.svg") for i in (1, 2, 3, 4)])
+    for command, flag, value, name in runs:
+        code = run([command, flag, value, "--out", tmp_path / name])
+        h.update(f"{command},{value},{code}".encode())
+        h.update(name.encode())
+        h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == ARTIFACTS_DIGEST
+
+
 def test_all_pairs_run_builds_end_chains_once(tmp_path, monkeypatch):
     from plugflow import gluing, orbit_space
 
@@ -352,6 +370,11 @@ def test_flag_takes_precedence_over_config(tmp_path):
     ("distinguish", {"n": 1, "mu": "3"}),
     ("distinguish", {"n": 1, "interval": [0, "0.5"]}),
     ("distinguish", {"n": 1, "s_offsets": {"99": 0.1}}),
+    # a torus key is spelled in canonical decimal, so no two keys name one torus
+    ("distinguish", {"n": 1, "s_offsets": {"1": 0.2, "01": 0.9}}),
+    ("distinguish", {"n": 1, "s_offsets": {" 1": 0.2}}),
+    ("distinguish", {"n": 3, "s_offsets": {"1_0": 0.2}}),
+    ("invariants", {"n": 1, "s_offsets": {"+2": 0.2}}),
 ])
 def test_bad_config_exits_usage_and_writes_nothing(tmp_path, monkeypatch, command, cfg):
     # every command writes to its default path, in the working directory
@@ -359,6 +382,19 @@ def test_bad_config_exits_usage_and_writes_nothing(tmp_path, monkeypatch, comman
     Path("cfg.json").write_text(json.dumps(cfg))
     assert run(["--config", "cfg.json", command]) == cli.EXIT_USAGE
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_outputs_get_the_mode_open_would_give(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        assert run(["plug", "--n", 1, "--out", tmp_path / "plug.json"]) == 0
+        assert run(["distinguish", "--n", 2, "--k", 7, "--out", tmp_path / "certs"]) == 0
+    finally:
+        os.umask(previous)
+    written = [tmp_path / "plug.json", *(tmp_path / "certs").iterdir()]
+    assert len(written) == 4
+    assert {stat.S_IMODE(p.stat().st_mode) for p in written} == {0o666 & ~umask}
 
 
 @pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe{"])
@@ -374,6 +410,13 @@ def test_unreadable_config_is_usage_error(tmp_path, content):
 def test_crossing_model_config(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"n": 1, "k": 7, "mu": 4.0,
+                                   "out": str(tmp_path / "certs")}))
+    assert run(["--config", cfgfile, "distinguish"]) == 0
+
+
+def test_canonical_torus_keys_are_accepted(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"n": 3, "k": 7, "s_offsets": {"1": 0.2, "10": 0.12},
                                    "out": str(tmp_path / "certs")}))
     assert run(["--config", cfgfile, "distinguish"]) == 0
 

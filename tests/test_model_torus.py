@@ -201,3 +201,15 @@ def test_polyline_segments_wrap():
         assert xa == pytest.approx(xb, abs=1e-9)
         assert {round(ya), round(yb)} == {0, 1}
         assert abs(ya - round(ya)) < 1e-6 and abs(yb - round(yb)) < 1e-6
+
+
+@pytest.mark.parametrize("foliation", mt.FOLIATIONS)
+def test_polyline_samples_the_exact_interval_grid(foliation):
+    # with c near 1, y = c + ln|sin(pi x)|/pi stays in (0, 1): one segment,
+    # no wrap points, so the segment's abscissae are the sample grid itself
+    for ann in mt.reeb_annuli(5, foliation):
+        lo, hi = ann.interval()
+        grid = [float(lo) + 0.02 + (float(hi) - float(lo) - 2 * 0.02) * t / 119
+                for t in range(120)]
+        (segment,) = mt.sample_leaf_polyline(ann, 0.999)
+        assert [x for x, _ in segment] == grid
