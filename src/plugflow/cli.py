@@ -267,19 +267,22 @@ def bifoliation_svg(i: int) -> str:
     colors = {"s": "#1f77b4", "u": "#d62728"}
     circ = mt.circumference(i)
     for fol in ("s", "u"):
+        head = f'<polyline class="leaf-{fol}" points="'
+        tail = f'" fill="none" stroke="{colors[fol]}" stroke-width="0.6"/>'
         for ann in mt.reeb_annuli(i, fol):
-            for c in SVG_C_GRID:
-                for seg in mt.sample_leaf_polyline(ann, c):
-                    for piece in _split_at_x_seam(seg, circ):
+            lo, hi = ann.interval()
+            # only an interval holding a multiple of circ crosses the chart seam
+            crosses = (lo // circ + 1) * circ < hi
+            x_text = _ChartXText(circ)
+            for segments in mt.sample_leaf_polyline(ann, SVG_C_GRID):
+                for seg in segments:
+                    for piece in _split_at_x_seam(seg, circ) if crosses else (seg,):
                         if len(piece) < 2:
                             continue
-                        pts = " ".join(
-                            f"{(x % circ) * SVG_X_SCALE:.2f},"
-                            f"{(1 - y) * SVG_Y_SCALE:.2f}" for x, y in piece)
-                        parts.append(
-                            f'<polyline class="leaf-{fol}" points="{pts}" '
-                            f'fill="none" stroke="{colors[fol]}" '
-                            f'stroke-width="0.6"/>')
+                        # one format over the y values; the x text is shared
+                        pts = " ".join([x_text[x] for x, _ in piece]) % tuple(
+                            [(1 - y) * SVG_Y_SCALE for _, y in piece])
+                        parts.append(head + pts + tail)
         for x in mt.compact_leaf_positions(i, fol):
             px = float(x % mt.circumference(i)) * SVG_X_SCALE
             parts.append(
@@ -287,6 +290,20 @@ def bifoliation_svg(i: int) -> str:
                 f'y2="{height}" stroke="{colors[fol]}" stroke-width="2.5"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+class _ChartXText(dict):
+    """The chart x text of a sample abscissa, followed by the format of its y
+    value; formatted once per annulus, as its leaves share their sample
+    abscissae."""
+
+    def __init__(self, circ: int):
+        super().__init__()
+        self.circ = circ
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = "%.2f,%%.2f" % ((x % self.circ) * SVG_X_SCALE)
+        return text
 
 
 def _split_at_x_seam(seg, circ):
@@ -322,12 +339,7 @@ def cmd_orbit_space(args) -> int:
     lozenges = list(fan.lozenges) + [osp.extend_fan(fan, fol, new_data)
                                      for fol in s["extend"]]
     shape = osp.classify_maximal(lozenges, k)
-    doc = json.loads(osp.cluster_to_json(lozenges))
-    doc["classification"] = (
-        {"tag": shape.tag, "i": shape.i, "lozenges": shape.lozenge_count()}
-        if isinstance(shape, osp.MaximalShape)
-        else {"not_classifiable": shape.reason, "detail": shape.detail})
-    _write_atomic(out, render(doc))
+    _write_atomic(out, osp.cluster_to_json(lozenges, shape))
     print(f"wrote {out}")
     return EXIT_OK
 

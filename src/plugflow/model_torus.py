@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple, Sequence, Union
 
 Coord = Union[Fraction, float]
 
@@ -245,33 +245,45 @@ def interval_overlap_length(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fra
     return total
 
 
-def sample_leaf_polyline(annulus: ReebAnnulusId, c: float, samples: int = 120,
-                         margin: float = 0.02) -> list[list[tuple[float, float]]]:
-    """Sample the spiral leaf as polylines, split where y wraps through 1 -> 0.
+def sample_leaf_polyline(annulus: ReebAnnulusId, cs: Sequence[float], samples: int = 120,
+                         margin: float = 0.02) -> list[list[list[tuple[float, float]]]]:
+    """Sample the spiral leaf of each constant in cs as polylines, split where
+    y wraps through 1 -> 0; returns one list of segments per constant.
 
-    Each returned segment is monotone in x; consecutive segments meet the wrap
-    within interpolation accuracy (used by the plotting wrap check).
+    The abscissa grid and the profile g(x) = ln|sin(pi x)|/pi (taken at
+    x - 1/2 for u) are computed once per annulus, and a constant c adds only
+    c + g per sample, so the floats are those of sampling each leaf alone.
+    Each returned segment is monotone in x; consecutive segments meet the
+    wrap within interpolation accuracy (used by the plotting wrap check).
+    The abscissae stay in the annulus interval, so a segment crosses the
+    chart seam x = 0 (mod 2i+2) only in the one annulus whose interval
+    contains it, u-annulus 0 on [-1/2, 1/2].
     """
     lo, hi = map(float, annulus.interval())
     xs = [lo + margin + (hi - lo - 2 * margin) * t / (samples - 1)
           for t in range(samples)]
-    segments: list[list[tuple[float, float]]] = []
-    current: list[tuple[float, float]] = []
-    prev_raw = None
-    for x in xs:
-        g = _log_abs_sin_pi(x) if annulus.foliation == S else _log_abs_sin_pi(x - 0.5)
-        raw = c + g
-        if prev_raw is not None and math.floor(raw) != math.floor(prev_raw):
+    if annulus.foliation == S:
+        gs = [_log_abs_sin_pi(x) for x in xs]
+    else:
+        gs = [_log_abs_sin_pi(x - 0.5) for x in xs]
+    leaves = []
+    for c in cs:
+        raws = [c + g for g in gs]
+        floors = list(map(math.floor, raws))
+        points = list(zip(xs, [raw % 1.0 for raw in raws]))
+        segments: list[list[tuple[float, float]]] = []
+        head: list[tuple[float, float]] = []
+        start = 0
+        for k in [k for k in range(1, samples) if floors[k] != floors[k - 1]]:
             # interpolate the wrap crossing so both sides touch the boundary
-            boundary = float(max(math.floor(raw), math.floor(prev_raw)))
+            raw, prev_raw = raws[k], raws[k - 1]
+            boundary = float(max(floors[k], floors[k - 1]))
             t = (boundary - prev_raw) / (raw - prev_raw)
-            xw = current[-1][0] + t * (x - current[-1][0])
+            xw = xs[k - 1] + t * (xs[k] - xs[k - 1])
             upper = 1.0 if raw > prev_raw else 0.0
-            current.append((xw, upper))
-            segments.append(current)
-            current = [(xw, 1.0 - upper)]
-        current.append((x, raw % 1.0))
-        prev_raw = raw
-    if current:
-        segments.append(current)
-    return segments
+            segments.append(head + points[start:k] + [(xw, upper)])
+            head = [(xw, 1.0 - upper)]
+            start = k
+        segments.append(head + points[start:])
+        leaves.append(segments)
+    return leaves

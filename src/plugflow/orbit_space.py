@@ -514,8 +514,14 @@ def _corner_name(c: Corner) -> str:
 # -- serialization --------------------------------------------------------------------
 
 
-def cluster_to_json(lozenges: Sequence[Lozenge]) -> str:
+def cluster_to_json(lozenges: Sequence[Lozenge],
+                    shape: MaximalShape | NotClassifiable) -> str:
+    """The orbit-space document of a cluster and its classification."""
     doc = {
+        "classification": (
+            {"tag": shape.tag, "i": shape.i, "lozenges": shape.lozenge_count()}
+            if isinstance(shape, MaximalShape)
+            else {"not_classifiable": shape.reason, "detail": shape.detail}),
         "lozenges": [
             {"id": idx, "age": l.age,
              "corners": [_corner_name(l.corner_a), _corner_name(l.corner_b)],

@@ -7,7 +7,8 @@ the homology decisions, the published two-annulus rule instead of interval
 arithmetic, and a direct 2x2 affine solve instead of contraction iteration.
 It also keeps the reference maps that tests invert the engine against: the
 photo of a separatrix-adjacent annulus (inverted by photo_inverse) and the
-crossing model's inverse and sigma-conjugate.
+crossing model's inverse and sigma-conjugate, and the one-leaf sampler that
+the shared-profile leaf sampler must reproduce float for float.
 """
 
 from __future__ import annotations
@@ -35,6 +36,34 @@ def rk4_cotangent(x0: float, y0: float, x1: float, steps: int = 4000) -> float:
         y += (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         x += h
     return y
+
+
+def sample_one_leaf(annulus, c: float, samples: int = 120,
+                    margin: float = 0.02) -> list[list[tuple[float, float]]]:
+    """The spiral leaf with constant c sampled alone, point by point, as
+    polylines split where y wraps through 1 -> 0."""
+    lo, hi = map(float, annulus.interval())
+    xs = [lo + margin + (hi - lo - 2 * margin) * t / (samples - 1)
+          for t in range(samples)]
+    shift = 0.0 if annulus.foliation == "s" else 0.5
+    segments: list[list[tuple[float, float]]] = []
+    current: list[tuple[float, float]] = []
+    prev_raw = None
+    for x in xs:
+        raw = c + math.log(abs(math.sin(math.pi * (x - shift)))) / math.pi
+        if prev_raw is not None and math.floor(raw) != math.floor(prev_raw):
+            boundary = float(max(math.floor(raw), math.floor(prev_raw)))
+            t = (boundary - prev_raw) / (raw - prev_raw)
+            xw = current[-1][0] + t * (x - current[-1][0])
+            upper = 1.0 if raw > prev_raw else 0.0
+            current.append((xw, upper))
+            segments.append(current)
+            current = [(xw, 1.0 - upper)]
+        current.append((x, raw % 1.0))
+        prev_raw = raw
+    if current:
+        segments.append(current)
+    return segments
 
 
 def pattern_rule(m: int, i: int, j: int) -> frozenset[int]:

@@ -197,6 +197,40 @@ def test_artifacts_bytes_identical(tmp_path):
     assert h.hexdigest() == ARTIFACTS_DIGEST
 
 
+#: sha256 of every plot byte and exit code of the runs below, taken before
+#: each Reeb annulus was sampled from one ln|sin| profile
+PLOT_DIGEST = "0e1d965eb26b43204798654c562ac37d0b68bd0c728984087242ab340d9ad09f"
+
+
+def test_plot_bytes_identical(tmp_path):
+    h = hashlib.sha256()
+    for i in [*range(5, 17), 40]:
+        name = f"bifoliation_T{i}.svg"
+        code = run(["plot", "--i", i, "--out", tmp_path / name])
+        h.update(f"plot,{i},{code}".encode())
+        h.update(name.encode())
+        h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == PLOT_DIGEST
+
+
+#: sha256 of every orbit-space byte and exit code of the runs below, taken
+#: before cluster_to_json wrote the classification itself
+ORBIT_SPACE_DIGEST = "468d34ea6ad07c5f4d0d77cc2fa65a4290fd814198f60a288d187377f032c62f"
+
+
+def test_orbit_space_bytes_identical(tmp_path):
+    h = hashlib.sha256()
+    for i in range(1, 9):
+        for extend in ("", "u", "s", "us", "su"):
+            name = f"orbit_space_T{i}_{extend or 'none'}.json"
+            code = run(["orbit-space", "--n", 2, "--i", i, "--extend", extend,
+                        "--out", tmp_path / name])
+            h.update(f"orbit-space,{i},{extend},{code}".encode())
+            h.update(name.encode())
+            h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == ORBIT_SPACE_DIGEST
+
+
 def test_all_pairs_run_builds_end_chains_once(tmp_path, monkeypatch):
     from plugflow import gluing, orbit_space
 

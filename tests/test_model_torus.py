@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plugflow import model_torus as mt
+from plugflow.cli import SVG_C_GRID
 
-from oracles import rk4_cotangent
+from oracles import rk4_cotangent, sample_one_leaf
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=64)
 torus_indices = st.integers(min_value=1, max_value=8)
@@ -194,7 +195,7 @@ def test_torus_point_normalizes_rationally():
 
 
 def test_polyline_segments_wrap():
-    segs = mt.sample_leaf_polyline(mt.ReebAnnulusId(1, "s", 0), 0.4)
+    (segs,) = mt.sample_leaf_polyline(mt.ReebAnnulusId(1, "s", 0), [0.4])
     assert len(segs) >= 2
     for a, b in zip(segs, segs[1:]):
         (xa, ya), (xb, yb) = a[-1], b[0]
@@ -211,5 +212,21 @@ def test_polyline_samples_the_exact_interval_grid(foliation):
         lo, hi = ann.interval()
         grid = [float(lo) + 0.02 + (float(hi) - float(lo) - 2 * 0.02) * t / 119
                 for t in range(120)]
-        (segment,) = mt.sample_leaf_polyline(ann, 0.999)
+        ((segment,),) = mt.sample_leaf_polyline(ann, [0.999])
         assert [x for x, _ in segment] == grid
+
+
+@pytest.mark.parametrize("i", range(1, 6))
+@pytest.mark.parametrize("foliation", mt.FOLIATIONS)
+def test_shared_profile_matches_one_leaf_sampling(i, foliation):
+    # the profile computed once per annulus gives exactly the floats of
+    # sampling every leaf alone
+    cs = [*SVG_C_GRID, 0.999, 0.0]
+    for ann in mt.reeb_annuli(i, foliation):
+        assert mt.sample_leaf_polyline(ann, cs) == [sample_one_leaf(ann, c) for c in cs]
+
+
+def test_leaf_sampling_rejects_a_compact_leaf():
+    # without a margin the s-grid starts on the compact leaf x = 0
+    with pytest.raises(ValueError, match="compact leaf"):
+        mt.sample_leaf_polyline(mt.ReebAnnulusId(1, "s", 0), [0.5], margin=0.0)

@@ -372,7 +372,9 @@ def test_photo_commutes_with_deck_action():
 
 def test_cluster_json_schema():
     fan = osp.old_fan_cluster(1, 0)
-    doc = json.loads(osp.cluster_to_json(fan.lozenges))
+    shape = osp.classify_maximal(fan.lozenges, 7)
+    doc = json.loads(osp.cluster_to_json(fan.lozenges, shape))
+    assert doc["classification"] == {"tag": "C_i", "i": 1, "lozenges": 7}
     assert len(doc["lozenges"]) == 7
     assert len(doc["adjacency"]) == 6
     assert all(lab in ("s", "u") for _, _, lab in doc["adjacency"])
