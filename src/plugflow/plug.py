@@ -44,7 +44,7 @@ def component_of(i: int, side: str) -> str:
     return PLUS if i % 2 == 1 else MINUS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LaminationAnnulus:
     """Reeb lamination annulus A_i^{j,s/u} with its two compact boundary leaves."""
 
@@ -62,7 +62,7 @@ def leaf_name(i: int, j: int, foliation: str) -> str:
     return f"c_{i}^{j},{foliation}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryTorus:
     i: int
     side: str            # "in" | "out"
@@ -74,7 +74,7 @@ class BoundaryTorus:
         return "s" if self.side == IN else "u"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryOrbit:
     """Boundary periodic orbit gamma_i^{j,sign}.
 
@@ -170,11 +170,15 @@ def frame_sign(i: int, foliation: str, e2_choice: str) -> int:
 
 # -- JSON round trip -----------------------------------------------------------
 
-def plug_to_json(plug: PlugSpec) -> str:
-    doc = {
+def plug_document(plug: PlugSpec) -> dict:
+    """The plug's JSON document.  "tori" and "orbits" are generators, so only
+    one torus's dicts are alive while it is encoded, and the document can be
+    encoded once."""
+    # the keys are (i, side) and (i, j, sign): sorting them sorts the values
+    return {
         "n": plug.n,
         "axioms": list(plug.axioms),
-        "tori": [
+        "tori": (
             {
                 "i": t.i,
                 "side": t.side,
@@ -185,14 +189,17 @@ def plug_to_json(plug: PlugSpec) -> str:
                     for a in t.annuli
                 ],
             }
-            for t in sorted(plug.tori.values(), key=lambda t: (t.i, t.side))
-        ],
-        "orbits": [
+            for t in map(plug.tori.get, sorted(plug.tori))
+        ),
+        "orbits": (
             {"i": o.i, "j": o.j, "sign": o.sign, "kind": o.kind}
-            for o in sorted(plug.orbits.values(), key=lambda o: (o.i, o.j, o.sign))
-        ],
+            for o in map(plug.orbits.get, sorted(plug.orbits))
+        ),
     }
-    return render(doc)
+
+
+def plug_to_json(plug: PlugSpec) -> str:
+    return render(plug_document(plug))
 
 
 def plug_from_json(text: str) -> PlugSpec:

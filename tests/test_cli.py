@@ -1,16 +1,18 @@
 """Batch front-end: determinism, golden files, exit codes, SVG output."""
 
 import hashlib
+import io
 import itertools
 import json
 import os
 import stat
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from plugflow import cli
+from plugflow import cli, jsonout, plug
 from plugflow.plug import plug_from_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -195,6 +197,65 @@ def test_artifacts_bytes_identical(tmp_path):
         h.update(name.encode())
         h.update((tmp_path / name).read_bytes())
     assert h.hexdigest() == ARTIFACTS_DIGEST
+
+
+#: sha256 of the plug file of n = 16 (2.1 MB, many encoder chunks), taken
+#: before the plug document was streamed into its file
+PLUG_N16_DIGEST = "7d74817da091b08ecf8767911b1d07b88ea1065bbf490782a281fcddb6812009"
+
+
+def test_plug_n16_bytes_identical(tmp_path):
+    out = tmp_path / "plug_n16.json"
+    assert run(["plug", "--n", 16, "--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PLUG_N16_DIGEST
+
+
+def test_plug_peak_memory_stays_below_twice_the_file(tmp_path):
+    # the document is encoded into its file as it is built, so the spec and
+    # one chunk are alive at a time, not the text or the dicts of every torus
+    out = tmp_path / "plug.json"
+    tracemalloc.start()
+    try:
+        assert run(["plug", "--n", 12, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.stat().st_size
+
+
+def test_a_failed_stream_leaves_the_previous_file(tmp_path, monkeypatch):
+    out = tmp_path / "plug.json"
+    assert run(["plug", "--n", 1, "--out", out]) == 0
+    before = out.read_bytes()
+    document = plug.plug_document
+
+    def poisoned(spec):
+        # a value JSON cannot hold, in the last torus: encoded after many chunks
+        doc = document(spec)
+        last = (4 * spec.n, "out")
+        doc["tori"] = ({**t, "component": {t["component"]}}
+                       if (t["i"], t["side"]) == last else t for t in doc["tori"])
+        return doc
+
+    monkeypatch.setattr(plug, "plug_document", poisoned)
+    written = []
+
+    def counted(chunks):
+        for chunk in chunks:
+            written.append(len(chunk))
+            yield chunk
+
+    with pytest.raises(TypeError):
+        cli._write_atomic(str(out), counted(jsonout.chunks(
+            plug.plug_document(plug.build_plug(4)))))
+    # earlier chunks went past the file's write buffer before the failure
+    assert len(written) > 1 and sum(written) > io.DEFAULT_BUFFER_SIZE
+    assert out.read_bytes() == before
+    assert os.listdir(tmp_path) == ["plug.json"]
+
+    assert run(["plug", "--n", 4, "--out", out]) == cli.EXIT_INTERNAL
+    assert out.read_bytes() == before
+    assert os.listdir(tmp_path) == ["plug.json"]
 
 
 #: sha256 of every plot byte and exit code of the runs below, taken before
@@ -475,8 +536,6 @@ def test_verdict_mismatch_exit_code(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("error", [ValueError, KeyError])
 def test_inner_value_or_key_error_is_internal_failure(tmp_path, monkeypatch, error):
-    from plugflow import plug
-
     def broken(n):
         raise error("inner failure")
 

@@ -28,6 +28,35 @@ def test_render_equals_json_dumps(doc):
     assert jsonout.render(doc) == reference(doc)
 
 
+def lazily(doc, swap):
+    """`doc` with every list or tuple for which `swap()` is true replaced by a
+    generator of its items."""
+    if isinstance(doc, dict):
+        return {key: lazily(item, swap) for key, item in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        items = [lazily(item, swap) for item in doc]
+        return (item for item in items) if swap() else type(doc)(items)
+    return doc
+
+
+@given(documents, st.data())
+def test_a_generator_encodes_as_the_list_it_yields(doc, data):
+    lazy = lazily(doc, lambda: data.draw(st.booleans(), label="swap"))
+    assert jsonout.render(lazy) == reference(doc)
+
+
+def test_an_empty_generator_encodes_as_an_empty_list():
+    assert jsonout.render(x for x in ()) == "[]\n"
+    doc = {"a": (x for x in ()), "b": [(x for x in ()), 1]}
+    assert jsonout.render(doc) == reference({"a": [], "b": [[], 1]})
+
+
+def test_plug_text_is_built_afresh_for_every_write():
+    # the plug document's arrays are generators, consumed by one encoding
+    spec = plug.build_plug(2)
+    assert plug.plug_to_json(spec) == plug.plug_to_json(spec)
+
+
 @pytest.mark.parametrize("doc", [
     {}, [], (), "", "é ☃ \U0001f600 \"quoted\" \\ \n\t\x00", 0, -1, 10 ** 40,
     True, False, None, 0.1, -0.0, 1e300, float("nan"), float("-inf"),

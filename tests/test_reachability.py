@@ -41,6 +41,8 @@ ROOTS = {
     "orbit_space.attachment_sites": "tests/test_acceptance.py",      # criterion 08
     "distinguisher.non_r_covered_certificate": "tests/test_acceptance.py",  # criterion 11
     "plug.plug_from_json": "bench/client.py",
+    # the benchmark's plug round trip; the CLI streams plug_document instead
+    "plug.plug_to_json": "bench/client.py",
     # the forward closed form that the leaf-constant tests evaluate
     "model_torus.leaf_y": "tests/test_model_torus.py",
 }
