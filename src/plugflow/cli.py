@@ -9,10 +9,11 @@ it over the target after the last one, with the mode ``open(path, "w")``
 would give it under the current umask; a failure part-way leaves the
 target as it was.  JSON is encoded by ``jsonout.chunks``, whose bytes are
 those of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, and the
-plug's tori and orbits are built while they are encoded, so ``plug`` holds
-its spec and one chunk, never its whole text: ``plug --n 32`` peaks at
-30 MB RSS, where joining the text before writing it took 63 MB (Python
-3.11, Linux).  ``plot`` writes its SVG line by line.  A JSON config
+plug's tori and orbits are computed from n while they are encoded, so
+``plug`` holds one torus and one chunk, never its whole text or a table of
+records: ``plug --n 32`` peaks at 17.6 MB RSS, as ``--n 16`` does, where
+tables of its records took 25 MB (Python 3.11, Linux).  ``plot`` writes
+its SVG line by line.  A JSON config
 file (--config) can set any flag and carries the crossing-model parameters;
 a flag given on the command line takes precedence over the config value.
 Config keys a command does not read are rejected as usage errors.

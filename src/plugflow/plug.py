@@ -9,19 +9,18 @@ annuli sharing the compact leaf c_i^{j,s}); exit tori carry the u-side
 picture, and sigma(A_i^{j,s}) = A_i^{j,u} index for index.  Each compact
 leaf is cut out by a boundary periodic orbit gamma_i^{j,+/-}.
 
+Every record is a closed form of its indices, so a PlugSpec holds only n.
 Dynamical facts that cannot be recomputed from this data (hyperbolicity,
 transitivity of the two basic pieces, the free-homotopy rigidity of
-non-boundary periodic orbits) are recorded as axiom strings on the PlugSpec
-and never checked at runtime.
-
-Everything here is immutable after build_plug and safe to share across
-threads.
+non-boundary periodic orbits) are the AXIOMS strings of the plug document,
+never checked at runtime.  Everything here is immutable and thread-safe.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import zip_longest
 
 from .jsonout import render
 
@@ -69,10 +68,6 @@ class BoundaryTorus:
     component: str       # "+" | "-"
     annuli: tuple[LaminationAnnulus, ...]
 
-    @property
-    def foliation(self) -> str:
-        return "s" if self.side == IN else "u"
-
 
 @dataclass(frozen=True, slots=True)
 class BoundaryOrbit:
@@ -96,36 +91,30 @@ def _orbit_kind(i: int, sign: str) -> str:
     return "s-boundary" if plus_kind == "u-boundary" else "u-boundary"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlugSpec:
+    """The plug of size n, i in [1, 4n]; an index outside it raises KeyError."""
+
     n: int
-    tori: dict[tuple[int, str], BoundaryTorus]
-    orbits: dict[tuple[int, int, str], BoundaryOrbit]
-    axioms: tuple[str, ...] = field(default=AXIOMS)
 
     def torus(self, i: int, side: str) -> BoundaryTorus:
-        return self.tori[(i, side)]
+        if not 1 <= i <= 4 * self.n or side not in (IN, OUT):
+            raise KeyError((i, side))
+        fol = "s" if side == IN else "u"
+        return BoundaryTorus(i, side, component_of(i, side),
+                             tuple(LaminationAnnulus(i, j, fol) for j in range(2 * i + 2)))
 
     def orbit(self, i: int, j: int, sign: str) -> BoundaryOrbit:
-        return self.orbits[(i, (j % (2 * i + 2)), sign)]
+        if not 1 <= i <= 4 * self.n or sign not in (PLUS, MINUS):
+            raise KeyError((i, j, sign))
+        return BoundaryOrbit(i, j % (2 * i + 2), sign, _orbit_kind(i, sign))
 
 
 def build_plug(n: int) -> PlugSpec:
-    """Populate the symbolic plug: 8n boundary tori, their laminations and orbits."""
+    """The symbolic plug: 8n boundary tori, their laminations and orbits."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    tori: dict[tuple[int, str], BoundaryTorus] = {}
-    orbits: dict[tuple[int, int, str], BoundaryOrbit] = {}
-    for i in range(1, 4 * n + 1):
-        m = 2 * i + 2
-        for side in (IN, OUT):
-            fol = "s" if side == IN else "u"
-            annuli = tuple(LaminationAnnulus(i, j, fol) for j in range(m))
-            tori[(i, side)] = BoundaryTorus(i, side, component_of(i, side), annuli)
-        for j in range(m):
-            for sign in (PLUS, MINUS):
-                orbits[(i, j, sign)] = BoundaryOrbit(i, j, sign, _orbit_kind(i, sign))
-    return PlugSpec(n=n, tori=tori, orbits=orbits)
+    return PlugSpec(n)
 
 
 # -- the involution ----------------------------------------------------------
@@ -140,13 +129,12 @@ def sigma_annulus(a: LaminationAnnulus) -> LaminationAnnulus:
 def genus_of_surface(n: int) -> int:
     """Genus forced by the singularity data: 4n singular points, the i-th with 2i+2 prongs.
 
-    The index relation sum_i (2 - p_i) = 4 - 4g is solved exactly.
+    The index relation sum_i (2 - p_i) = -2 sum_i i = -4n(4n+1) = 4 - 4g
+    gives g = 4n^2 + n + 1.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    total = sum(2 - (2 * i + 2) for i in range(1, 4 * n + 1))
-    assert (4 - total) % 4 == 0
-    return (4 - total) // 4
+    return 4 * n * n + n + 1
 
 
 # -- boundary frames ----------------------------------------------------------
@@ -168,16 +156,17 @@ def frame_sign(i: int, foliation: str, e2_choice: str) -> int:
     return 1 if e2_choice == positive else -1
 
 
-# -- JSON round trip -----------------------------------------------------------
+# -- JSON document -------------------------------------------------------------
 
 def plug_document(plug: PlugSpec) -> dict:
-    """The plug's JSON document.  "tori" and "orbits" are generators, so only
-    one torus's dicts are alive while it is encoded, and the document can be
-    encoded once."""
-    # the keys are (i, side) and (i, j, sign): sorting them sorts the values
+    """The plug's JSON document, the one home of its format.  "tori" and
+    "orbits" are generators, so only one torus's dicts are alive while it is
+    encoded, and the document can be encoded once.  Tori run by i, then "in"
+    before "out"; orbits by i, then j, then "+" before "-"."""
+    indices = range(1, 4 * plug.n + 1)
     return {
         "n": plug.n,
-        "axioms": list(plug.axioms),
+        "axioms": list(AXIOMS),
         "tori": (
             {
                 "i": t.i,
@@ -189,11 +178,12 @@ def plug_document(plug: PlugSpec) -> dict:
                     for a in t.annuli
                 ],
             }
-            for t in map(plug.tori.get, sorted(plug.tori))
+            for t in (plug.torus(i, side) for i in indices for side in (IN, OUT))
         ),
         "orbits": (
             {"i": o.i, "j": o.j, "sign": o.sign, "kind": o.kind}
-            for o in map(plug.orbits.get, sorted(plug.orbits))
+            for o in (plug.orbit(i, j, sign) for i in indices
+                      for j in range(2 * i + 2) for sign in (PLUS, MINUS))
         ),
     }
 
@@ -203,16 +193,22 @@ def plug_to_json(plug: PlugSpec) -> str:
 
 
 def plug_from_json(text: str) -> PlugSpec:
+    """Parse a plug document and check it against plug_document(build_plug(n)),
+    record by record as plug_to_json spells them (so 1, 1.0 and true differ).
+    The first difference (a key, an axiom, a torus, an orbit or a count)
+    raises ValueError; otherwise the spec is returned."""
     doc = json.loads(text)
-    tori = {}
-    for td in doc["tori"]:
-        annuli = tuple(LaminationAnnulus(td["i"], ad["j"], ad["foliation"])
-                       for ad in td["annuli"])
-        tori[(td["i"], td["side"])] = BoundaryTorus(td["i"], td["side"],
-                                                    td["component"], annuli)
-    orbits = {}
-    for od in doc["orbits"]:
-        orbits[(od["i"], od["j"], od["sign"])] = BoundaryOrbit(
-            od["i"], od["j"], od["sign"], od["kind"])
-    return PlugSpec(n=doc["n"], tori=tori, orbits=orbits,
-                    axioms=tuple(doc["axioms"]))
+    if not isinstance(doc, dict) or type(doc.get("n")) is not int:
+        raise ValueError("a plug document is an object with an integer n")
+    spec = build_plug(doc["n"])
+    want = plug_document(spec)
+    if doc.keys() != want.keys():
+        raise ValueError(f"plug keys {sorted(doc)}, expected {sorted(want)}")
+    for key in ("axioms", "tori", "orbits"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"plug {key} is not a list")
+        # no expected record is null, so None marks the end of either list
+        for index, (got, expected) in enumerate(zip_longest(doc[key], want[key])):
+            if expected is None or render(got) != render(expected):
+                raise ValueError(f"plug {key}[{index}] is {got!r}, expected {expected!r}")
+    return spec

@@ -211,16 +211,21 @@ def test_plug_n16_bytes_identical(tmp_path):
 
 
 def test_plug_peak_memory_stays_below_twice_the_file(tmp_path):
-    # the document is encoded into its file as it is built, so the spec and
-    # one chunk are alive at a time, not the text or the dicts of every torus
+    # the document is encoded into its file as its records are computed, so
+    # one torus and one chunk are alive at a time, not the text, the dicts of
+    # every torus or a table of records: the peak stays flat as n grows
     out = tmp_path / "plug.json"
-    tracemalloc.start()
-    try:
-        assert run(["plug", "--n", 12, "--out", out]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * out.stat().st_size
+    assert run(["plug", "--n", 1, "--out", out]) == 0   # warm-up, untraced
+    peaks = {}
+    for n in (4, 16):
+        tracemalloc.start()
+        try:
+            assert run(["plug", "--n", n, "--out", out]) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] < 2 * out.stat().st_size
+    assert peaks[16] < 1.5 * peaks[4], peaks
 
 
 def test_a_failed_stream_leaves_the_previous_file(tmp_path, monkeypatch):
