@@ -243,7 +243,7 @@ def cmd_distinguish(args) -> int:
     model = _crossing_model(s)
     for j in range(1, 2 * n + 1):
         gluing.locate_periodic_orbit(model, 0, j)
-    ends = distinguisher.EndChains(n, k)
+    ends = distinguisher.end_chains(n)
     mismatches = 0
     for m1, m2 in pairs:
         verdict = distinguisher.distinguish(m1, m2, n, k, ends)

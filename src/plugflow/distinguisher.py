@@ -19,11 +19,12 @@ Pairs touching m = 0 or m = 2n are reported Inconclusive: the argument is
 only run inside the range where it is actually proved.
 
 Each certificate branch has one constructor, which distinguish and
-verify_certificate share.  Within one run (fixed n and k) the end chains do
-not depend on the pair, so an EndChains object builds each of them once for
-every pair of the run; the verifier never reads it and takes its answers
-from old_handedness.  Verdict computation is otherwise pure, so pair
-enumeration parallelizes with any deterministic merge order.
+verify_certificate share; both hand the reversing one the end chains'
+handedness only, and it applies the even-extension rule.  In the proven
+range the end chains depend neither on the pair nor on k, so end_chains(n)
+reads them off their photos once per run; the verifier never reads it and
+takes the handedness from old_handedness.  Verdict computation is otherwise
+pure, so pair enumeration parallelizes with any deterministic merge order.
 
 non_r_covered_certificate computes the per-torus witness data for the
 non-R-covered half of the theorem; no command writes it yet.
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .gluing import crossing_orbit_index, rectangle_chirality
+from .gluing import STRIP_ANNULUS_INDEX
 from .handedness import even_extension_allowed, old_handedness, old_sa_annulus
 from .jsonout import render
 from .plug import build_plug
@@ -103,66 +104,52 @@ def _preserving_branch(i: int, m1: int, m2: int, n: int) -> Optional[BranchCerti
                              table_cells={f"({i},{m1})": h1, f"({i},{m2})": h2})
 
 
-def _reversing_branch(answers: dict[int, tuple[str, bool]], n: int,
+def _reversing_branch(hands: dict[int, str], n: int,
                       k: int) -> Optional[BranchCertificate]:
-    """The reversing branch from {end torus: (handedness, extension allowed)}.
+    """The reversing branch from {end torus: handedness of its old chain}.
 
     Both end chains would be forced to grow even extensions; the one at
     T_{4n-1} (k > 0) or T_1 (k < 0) cannot, else None.
     """
+    allowed = {i: even_extension_allowed(hd, i, n, k) for i, hd in hands.items()}
     refuting = 4 * n - 1 if k > 0 else 1
-    if answers[refuting][1]:
+    if allowed[refuting]:
         return None
     return BranchCertificate(
         orientation="reversing", witness_torus=refuting,
         lemma="even-extension-rule",
         table_cells={
-            "handedness": {str(i): hd for i, (hd, _) in answers.items()},
-            "extension_allowed": {str(i): ok for i, (_, ok) in answers.items()},
+            "handedness": {str(i): hd for i, hd in hands.items()},
+            "extension_allowed": {str(i): ok for i, ok in allowed.items()},
             "sign_k": "+" if k > 0 else "-",
         })
 
 
-class EndChains:
-    """The even-extension answers of the end chains of one run (fixed n and k).
+def end_chains(n: int) -> dict[int, str]:
+    """{1: handedness, 4n-1: handedness} of the end chains of the proven range.
 
-    The old chain at T_i in the m-th flow depends on m only through the
-    rectangle chirality at the crossing orbit of T_i (see old_sa_annulus),
-    so each (end torus, chirality) is built once per run, by the full
-    fan -> photo -> SA-annulus construction with all its checks, and reused
-    for every later pair.  In the proven range that is two builds per run:
-    T_1 (always L) and T_{4n-1} (always R).  The answers live as long as
-    this object; a caller makes one per run.
+    Each is read off the photo of its old fan through old_sa_annulus at
+    m = 1.  The chain at T_i depends on m only through the rectangle
+    chirality at its crossing orbit, which is the same for every m in
+    [1, 2n-1]; so any m1 of the proven range, [1, 2n-2], gives the same
+    chains: T_1 is L and T_{4n-1} is R.  A run builds them once.
     """
-
-    def __init__(self, n: int, k: int):
-        self.n = n
-        self.k = k
-        self._answers: dict[tuple[int, str], tuple[str, bool]] = {}
-
-    def answer(self, i: int, m: int) -> tuple[str, bool]:
-        """(handedness, even extension allowed) of the old chain at T_i, m-th flow."""
-        key = (i, rectangle_chirality(m, crossing_orbit_index(i)))
-        if key not in self._answers:
-            hd = old_sa_annulus(i, m, self.n).handedness
-            self._answers[key] = (hd, even_extension_allowed(hd, i, self.n, self.k))
-        return self._answers[key]
+    return {i: old_sa_annulus(i, 1, n).handedness for i in (1, 4 * n - 1)}
 
 
 def distinguish(m1: int, m2: int, n: int, k: int,
-                ends: Optional[EndChains] = None) -> DistinguishVerdict:
+                ends: Optional[dict[int, str]] = None) -> DistinguishVerdict:
     """Inequivalent-with-certificate or Inconclusive for the pair (m1, m2).
 
-    `ends` carries the end chains of the run this pair belongs to; without
-    it the pair is a run of its own and builds them itself.
+    `ends` is end_chains(n) of the run this pair belongs to (ValueError
+    unless it names exactly the tori 1 and 4n-1); without it the pair is a
+    run of its own and builds them itself.
     """
     m1, m2 = check_pair(m1, m2, n)
     if k == 0:
         raise ValueError("surgery index k must be nonzero")
-    if ends is None:
-        ends = EndChains(n, k)
-    elif (ends.n, ends.k) != (n, k):
-        raise ValueError(f"end chains of a run with (n, k) = ({ends.n}, {ends.k})")
+    if ends is not None and set(ends) != {1, 4 * n - 1}:
+        raise ValueError(f"end chains at tori {sorted(ends)}, not at 1 and {4 * n - 1}")
     if not proven_range(m1, m2, n):
         return DistinguishVerdict(INCONCLUSIVE, m1, m2, n, k,
                                   reason="outside proven range")
@@ -173,8 +160,7 @@ def distinguish(m1: int, m2: int, n: int, k: int,
     if preserving is None:
         return DistinguishVerdict(INCONCLUSIVE, m1, m2, n, k,
                                   reason="no handedness witness found")
-    reversing = _reversing_branch(
-        {i_end: ends.answer(i_end, m1) for i_end in (1, 4 * n - 1)}, n, k)
+    reversing = _reversing_branch(ends or end_chains(n), n, k)
     if reversing is None:
         return DistinguishVerdict(INCONCLUSIVE, m1, m2, n, k,
                                   reason="even-extension obstruction failed")
@@ -201,9 +187,8 @@ def verify_certificate(verdict: DistinguishVerdict) -> bool:
     if not 2 * m1 + 1 <= i_w <= 2 * m2:
         return False
     hands = {i_end: old_handedness(i_end, m1, n) for i_end in (1, 4 * n - 1)}
-    answers = {i: (hd, even_extension_allowed(hd, i, n, k)) for i, hd in hands.items()}
     return verdict.branches == (_preserving_branch(i_w, m1, m2, n),
-                                _reversing_branch(answers, n, k))
+                                _reversing_branch(hands, n, k))
 
 
 # -- non-R-covered certificates -----------------------------------------------------
@@ -217,7 +202,6 @@ def non_r_covered_certificate(m: int, n: int) -> dict:
     and the two boundary leaves of each surviving annulus lie on stable
     manifolds of distinct boundary orbits.
     """
-    from .gluing import STRIP_ANNULUS_INDEX
     if not 0 <= m <= 2 * n:
         raise ValueError(f"m out of range [0, {2 * n}]")
     plug = build_plug(n)

@@ -12,8 +12,9 @@ in closed form anywhere; we model it by a piecewise-affine uniformly
 hyperbolic map on leaf-constant coordinates.  A point near the selected
 strips is charted by the pair (a, b) of its stable and unstable leaf
 constants; in these charts both the involution and the half shift act by
-swapping the pair, so a full gluing step preserves (a, b) and the crossing
-map carries all the hyperbolicity: contraction 1/mu on a, expansion mu on b,
+swapping the pair, so a full gluing step is the identity on (a, b), the
+return step out of a rectangle is the crossing map theta itself, and theta
+carries all the hyperbolicity: contraction 1/mu on a, expansion mu on b,
 with per-torus anchor offsets.  Unstable anchors are tied to the stable ones
 (u_t = -mu * s_pair(t)) so that conjugating by the involution inverts the
 model exactly.  Any such model witnesses the markovian fixed point; mu and
@@ -31,17 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from . import model_torus as mt
 
 MINUS_HALF = Fraction(-1, 2)
 PLUS_HALF = Fraction(1, 2)
-
-
-class GluingRestriction(NamedTuple):
-    shift: Fraction
-    name: str
 
 
 def _check_indices(m: int, i: int, n: int) -> None:
@@ -51,12 +47,10 @@ def _check_indices(m: int, i: int, n: int) -> None:
         raise ValueError(f"i must be in [1, {4 * n}], got {i}")
 
 
-def gluing_restriction(m: int, i: int, n: int) -> GluingRestriction:
-    """Restriction of the m-th gluing map to the i-th exit torus."""
+def gluing_restriction(m: int, i: int, n: int) -> Fraction:
+    """The half shift of the m-th gluing map, tau_shift . sigma, on the i-th exit torus."""
     _check_indices(m, i, n)
-    if i <= 2 * m:
-        return GluingRestriction(MINUS_HALF, "tau_{-1/2} . sigma")
-    return GluingRestriction(PLUS_HALF, "tau_{+1/2} . sigma")
+    return MINUS_HALF if i <= 2 * m else PLUS_HALF
 
 
 def annulus_intersection_pattern(m: int, i: int, j: int, n: int) -> frozenset[int]:
@@ -66,16 +60,17 @@ def annulus_intersection_pattern(m: int, i: int, j: int, n: int) -> frozenset[in
     x-interval [j, j+1] of the entrance chart, the half shift moves it, and
     we keep every s-annulus whose overlap has positive length.  All endpoints
     are half-integers, so the circle arithmetic is exact in doubled units.
+    The image is one annulus wide, so only s-annuli j-1, j and j+1 (mod 2i+2)
+    can meet it, and only those are tested.
     """
-    _check_indices(m, i, n)
+    shift = gluing_restriction(m, i, n)
     c = mt.circumference(i)
     j = j % c
-    shift = gluing_restriction(m, i, n).shift
     # doubled units: the image of [j, j+1] is [2j + 2*shift, 2j + 2 + 2*shift]
     a0 = 2 * j + (1 if shift > 0 else -1)
     a1 = a0 + 2
     mod = 2 * c
-    return frozenset(ell for ell in range(c)
+    return frozenset(ell for ell in {(j - 1) % c, j, (j + 1) % c}
                      if mt.interval_overlap_length((a0, a1), (2 * ell, 2 * ell + 2), mod) > 0)
 
 
@@ -108,10 +103,6 @@ class NonMarkovianError(RuntimeError):
 
 
 Point = tuple[float, float]
-
-
-def _swap(p: Point) -> Point:
-    return (p[1], p[0])
 
 
 @dataclass(frozen=True)
@@ -147,18 +138,10 @@ class ModelCrossingMap:
         return -self.mu * self.s_off(pair_torus(t))
 
     def theta(self, t: int, p: Point) -> Point:
-        """Crossing map out of the stable strip on torus t."""
+        """Crossing map out of the stable strip on torus t; as the gluing step
+        is the identity on leaf constants, also the return step."""
         a, b = p
         return (self.s_off(t) + a / self.mu, self.u_off(t) + self.mu * b)
-
-    def glue(self, p: Point) -> Point:
-        """Gluing step in constants: the involution and the half shift each swap
-        the pair, so their composition is the identity."""
-        return _swap(_swap(p))
-
-    def return_step(self, t: int, p: Point) -> Point:
-        """One application of (gluing . crossing) out of torus t's rectangle."""
-        return self.glue(self.theta(t, p))
 
     def validate(self) -> None:
         """Every rectangle image must cross the partner rectangle markovianly."""
@@ -186,6 +169,11 @@ def rectangle_chirality(m: int, j: int) -> str:
 
 # -- the markovian fixed point ----------------------------------------------------
 
+#: contraction iterations before the fixed-point search declares the
+#: configuration non-markovian
+MAX_ITER = 500
+
+
 @dataclass(frozen=True)
 class FixedPointReport:
     j: int
@@ -198,8 +186,8 @@ class FixedPointReport:
 
 
 def locate_periodic_orbit(model: ModelCrossingMap, m: int, j: int,
-                          start: Point | None = None, tol: float = 1e-9,
-                          max_iter: int = 500) -> FixedPointReport:
+                          start: Point | None = None,
+                          tol: float = 1e-9) -> FixedPointReport:
     """Unique fixed point of the squared return map on the chosen rectangle pair.
 
     The stable coordinate is iterated forward and the unstable one through
@@ -215,7 +203,7 @@ def locate_periodic_orbit(model: ModelCrossingMap, m: int, j: int,
     a, b = start if start is not None else ((lo + hi) / 2, (lo + hi) / 2)
 
     def fwd(p: Point) -> Point:
-        return model.return_step(t2, model.return_step(t1, p))
+        return model.theta(t2, model.theta(t1, p))
 
     # the unstable factor is expanding, so iterate it through the inverse;
     # its affine coefficients are read off the forward map by probing
@@ -224,7 +212,7 @@ def locate_periodic_orbit(model: ModelCrossingMap, m: int, j: int,
     if abs(b_slope) <= 1.0:
         raise InvalidCrossingModel("return map does not expand the unstable constant")
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         a = fwd((a, b))[0]
         b = (b - b0) / b_slope
         fa, fb = fwd((a, b))
@@ -236,8 +224,8 @@ def locate_periodic_orbit(model: ModelCrossingMap, m: int, j: int,
                     "fixed point escaped the rectangle: invalid crossing model")
             return FixedPointReport(
                 j=j, chirality=chir, point=pt,
-                image_point=model.return_step(t1, pt),
+                image_point=model.theta(t1, pt),
                 residual=residual, iterations=it,
                 itinerary=(f"T_{t1}", f"T_{t2}"))
     raise NonMarkovianError(
-        f"no convergence after {max_iter} iterations: non-markovian configuration")
+        f"no convergence after {MAX_ITER} iterations: non-markovian configuration")

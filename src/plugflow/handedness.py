@@ -16,16 +16,16 @@ once so that the resulting table is
     i odd:  L iff j <= m          i even:  R iff j <= m
 
 which is also the calibration anchor documented on old_handedness.
-even_extension_allowed is the one home of the even-extension rule: it feeds
-the branch constructor that distinguish (through EndChains) and the verifier
-share, and the verifier never reads EndChains.
+even_extension_allowed is the one home of the even-extension rule; the
+reversing-branch constructor that distinguish and the verifier share applies
+it to the end chains' handedness.  The SA annulus itself is read off an old
+fan by orbit_space.photo_inverse.
 All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import replace
 
 from . import orbit_space as osp
 from .gluing import crossing_orbit_index, rectangle_chirality
@@ -36,32 +36,7 @@ L = "L"
 R = "R"
 
 
-@dataclass(frozen=True)
-class SAAnnulus:
-    """k Birkhoff annuli glued along k-1 interior orbits with alternating types."""
-
-    components: tuple[str, ...]
-    adjacency_labels: tuple[str, ...]
-    interior_orbits: tuple[str, ...]
-    boundary_orbits: tuple[str, str]
-    handedness: Optional[str] = None
-
-    def __post_init__(self):
-        k = len(self.components)
-        if k < 1:
-            raise ValueError("an SA annulus has at least one component")
-        if len(self.adjacency_labels) != k - 1 or len(self.interior_orbits) != k - 1:
-            raise ValueError("need k-1 interior orbits and adjacency labels")
-        if any(lab not in ("s", "u") for lab in self.adjacency_labels):
-            raise ValueError("adjacency labels are 's' or 'u'")
-        if self.handedness not in (None, L, R):
-            raise ValueError("handedness is 'L' or 'R'")
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-
-def old_handedness(i: int, m: int, n: Optional[int] = None) -> str:
+def old_handedness(i: int, m: int, n: int) -> str:
     """Handedness of the old SA annulus attached to T_i in the m-th flow.
 
     Composed, not tabulated: the gluing picks L components at the crossing
@@ -69,9 +44,9 @@ def old_handedness(i: int, m: int, n: Optional[int] = None) -> str:
     (positive iff i is odd) says whether the rectangle chirality transfers
     to the annulus frame directly or flipped.
     """
-    if i < 1 or (n is not None and i > 4 * n):
+    if not 1 <= i <= 4 * n:
         raise ValueError(f"torus index {i} out of range")
-    if m < 0 or (n is not None and m > 2 * n):
+    if not 0 <= m <= 2 * n:
         raise ValueError(f"gluing index {m} out of range")
     j = crossing_orbit_index(i)
     chirality = rectangle_chirality(m, j)
@@ -81,13 +56,14 @@ def old_handedness(i: int, m: int, n: Optional[int] = None) -> str:
     return L if chirality == R else R
 
 
-def old_sa_annulus(i: int, m: int, n: int) -> SAAnnulus:
+def old_sa_annulus(i: int, m: int, n: int) -> osp.SAAnnulus:
     """The old (4i+3)-chain associated to T_i, read off its orbit-space photo.
 
     The chain depends on m only through rectangle_chirality(m, j), j the
     crossing-orbit index of T_i: the fan's punctured lozenge and the
     handedness are both functions of that chirality.  A distinguish run
-    therefore builds it once per (i, chirality), not once per pair.
+    therefore builds it once per end torus (distinguisher.end_chains), not
+    once per pair.
     """
     return replace(osp.photo_inverse(osp.old_fan_cluster(i, m)),
                    handedness=old_handedness(i, m, n))

@@ -177,7 +177,6 @@ class BridgeConfig:
     omega1: H1Vector
     omega2: H1Vector
     s: tuple[int, ...]
-    sign: int = 1
 
     def __post_init__(self):
         if isinstance(self.s, NewLozengeData):

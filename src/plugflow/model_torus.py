@@ -195,16 +195,6 @@ def leaf_through(p: TorusPoint, foliation: str) -> ModelLeaf:
     return ModelLeaf(p.i, foliation, "noncompact", annulus=ann, c=c)
 
 
-def leaf_y(annulus: ReebAnnulusId, c: float, x: float) -> float:
-    """y-coordinate (mod 1) of the leaf with constant c at abscissa x inside the annulus."""
-    lo, hi = annulus.interval()
-    if not float(lo) < x < float(hi):
-        raise ValueError("x outside the annulus interior")
-    if annulus.foliation == S:
-        return (c + _log_abs_sin_pi(x)) % 1.0
-    return (c + _log_abs_sin_pi(x - 0.5)) % 1.0
-
-
 def tau(p: TorusPoint, v: Coord) -> TorusPoint:
     """Horizontal translation x -> x + v (mod 2i+2)."""
     return TorusPoint(p.i, _add(p.x, v), p.y)

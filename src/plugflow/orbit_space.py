@@ -29,6 +29,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import model_torus as mt
+from .gluing import STRIP_ANNULUS_INDEX, crossing_orbit_index, rectangle_chirality
 from .homology import (FORBIDDEN, BridgeConfig, NewLozengeData,
                        TwoNewAdjacentConfig, decide_bridge,
                        decide_two_new_adjacent, h1_zero)
@@ -192,7 +193,6 @@ def punctured_position(i: int, m: int) -> int:
     for L components.  The overlap is bounded by two consecutive compact
     leaves, whose chain positions bracket the punctured lozenge.
     """
-    from .gluing import STRIP_ANNULUS_INDEX, crossing_orbit_index, rectangle_chirality
     c = mt.circumference(i)
     chirality = rectangle_chirality(m, crossing_orbit_index(i))
     s_iv = mt.ReebAnnulusId(i, "s", STRIP_ANNULUS_INDEX).interval()
@@ -258,11 +258,6 @@ def old_fan_cluster(i: int, m: int) -> FanCluster:
     return FanCluster(lozenges, labels)
 
 
-class AttachmentSite(NamedTuple):
-    host_index: int
-    slot: EdgeSlot
-
-
 def free_slots(lozenges: Sequence[Lozenge]) -> dict[EdgeSlot, int]:
     """Edge slots held by exactly one lozenge, mapped to the holder's index."""
     holders: dict[EdgeSlot, list[int]] = {}
@@ -272,22 +267,19 @@ def free_slots(lozenges: Sequence[Lozenge]) -> dict[EdgeSlot, int]:
     return {e: idxs[0] for e, idxs in holders.items() if len(idxs) == 1}
 
 
-def attachment_sites(fan: FanCluster) -> list[AttachmentSite]:
-    """All 8i+8 free slots of an old fan, in chain order."""
+def attachment_sites(fan: FanCluster) -> list[EdgeSlot]:
+    """All 8i+8 free slots of an old fan, in chain order of their holders."""
     free = free_slots(fan.lozenges)
-    sites = [AttachmentSite(idx, slot) for slot, idx in free.items()]
-    sites.sort(key=lambda s: (s.host_index, str(s.slot.corner), s.slot.foliation,
-                              s.slot.tag))
-    return sites
+    return sorted(free, key=lambda s: (free[s], str(s.corner), s.foliation, s.tag))
 
 
-def attach(site: AttachmentSite, new_data: NewLozengeData, label: str) -> Lozenge:
-    """New lozenge glued along the site's half-leaf; its far corner is fresh."""
-    v = site.slot.corner
+def attach(slot: EdgeSlot, new_data: NewLozengeData, label: str) -> Lozenge:
+    """New lozenge glued along the slot's half-leaf; its far corner is fresh."""
+    v = slot.corner
     w = NewOrbitRef(label)
     edges = frozenset({
-        site.slot,
-        EdgeSlot(v, _other(site.slot.foliation), f"{label}-back"),
+        slot,
+        EdgeSlot(v, _other(slot.foliation), f"{label}-back"),
         EdgeSlot(w, "s", f"{label}-far-s"),
         EdgeSlot(w, "u", f"{label}-far-u"),
     })
@@ -296,9 +288,7 @@ def attach(site: AttachmentSite, new_data: NewLozengeData, label: str) -> Lozeng
 
 def extend_fan(fan: FanCluster, fol: str, new_data: NewLozengeData) -> Lozenge:
     """New lozenge continuing the fan at its `fol` end ('u' or 's', see fan_end_slots)."""
-    slot = fan_end_slots(fan)[fol]
-    host = 0 if slot in fan.lozenges[0].edges else len(fan) - 1
-    return attach(AttachmentSite(host, slot), new_data, f"ext-{fol}")
+    return attach(fan_end_slots(fan)[fol], new_data, f"ext-{fol}")
 
 
 def fan_end_slots(fan: FanCluster) -> dict[str, EdgeSlot]:
@@ -308,18 +298,12 @@ def fan_end_slots(fan: FanCluster) -> dict[str, EdgeSlot]:
     the foliation opposite to the end lozenge's interior adjacency; the two
     ends always continue along different foliations.
     """
-    first, last = fan.lozenges[0], fan.lozenges[-1]
-    inner_first = fan.lozenges[1]
-    inner_last = fan.lozenges[-2]
     out: dict[str, EdgeSlot] = {}
-    for loz, inner, lab in ((first, inner_first, fan.labels[0]),
-                            (last, inner_last, fan.labels[-1])):
-        shared_corner = next(iter({loz.corner_a, loz.corner_b}
-                                  & {inner.corner_a, inner.corner_b}))
-        outer = loz.corner_b if loz.corner_a == shared_corner else loz.corner_a
+    for t, lab in ((0, fan.labels[0]), (len(fan) - 1, fan.labels[-1])):
+        outer = _outer_corner(fan, t)
         fol = _other(lab)
-        slot = next(e for e in loz.edges if e.corner == outer and e.foliation == fol)
-        out[fol] = slot
+        out[fol] = next(e for e in fan.lozenges[t].edges
+                        if e.corner == outer and e.foliation == fol)
     if set(out) != {"s", "u"}:
         raise AssertionError("fan ends must continue along different foliations")
     return out
@@ -473,13 +457,39 @@ def _fan_from_run(lozenges: Sequence[Lozenge], run: list[int]) -> FanCluster:
 # -- photos -------------------------------------------------------------------------
 
 
-def photo_inverse(fan: FanCluster):
+@dataclass(frozen=True)
+class SAAnnulus:
+    """k Birkhoff annuli glued along k-1 interior orbits with alternating types."""
+
+    components: tuple[str, ...]
+    adjacency_labels: tuple[str, ...]
+    interior_orbits: tuple[str, ...]
+    boundary_orbits: tuple[str, str]
+    handedness: Optional[str] = None
+
+    def __post_init__(self):
+        k = len(self.components)
+        if k < 1:
+            raise ValueError("an SA annulus has at least one component")
+        if len(self.adjacency_labels) != k - 1 or len(self.interior_orbits) != k - 1:
+            raise ValueError("need k-1 interior orbits and adjacency labels")
+        if any(lab not in ("s", "u") for lab in self.adjacency_labels):
+            raise ValueError("adjacency labels are 's' or 'u'")
+        if self.handedness not in (None, "L", "R"):
+            raise ValueError("handedness is 'L' or 'R'")
+
+    def __len__(self) -> int:
+        return len(self.components)
+
+
+def photo_inverse(fan: FanCluster) -> SAAnnulus:
     """Separatrix-adjacent annulus data read off a fan cluster.
 
     Components are named canonically B0..B(k-1); orbit names are the fan's
     corner names, so the annulus keeps every label of the fan elementwise.
+    The handedness is not read off the photo; handedness.old_sa_annulus
+    stamps it from the closed form.
     """
-    from .handedness import SAAnnulus
     comps = tuple(f"B{t}" for t in range(len(fan.lozenges)))
     interior = tuple(_corner_name(_shared_corner(fan, t))
                      for t in range(len(fan.lozenges) - 1))

@@ -6,6 +6,7 @@ leaf constant, literal integer enumeration instead of the sign analysis in
 the homology decisions, the published two-annulus rule instead of interval
 arithmetic, and a direct 2x2 affine solve instead of contraction iteration.
 It also keeps the reference maps that tests invert the engine against: the
+forward closed form of a spiral leaf (inverted by the leaf constant), the
 photo of a separatrix-adjacent annulus (inverted by photo_inverse) and the
 crossing model's inverse and sigma-conjugate, and the one-leaf sampler that
 the shared-profile leaf sampler must reproduce float for float.
@@ -16,8 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from plugflow.handedness import SAAnnulus
-from plugflow.orbit_space import OLD, EdgeSlot, FanCluster, Lozenge, NewOrbitRef
+from plugflow.orbit_space import (OLD, EdgeSlot, FanCluster, Lozenge, NewOrbitRef,
+                                  SAAnnulus)
 
 
 def rk4_cotangent(x0: float, y0: float, x1: float, steps: int = 4000) -> float:
@@ -36,6 +37,16 @@ def rk4_cotangent(x0: float, y0: float, x1: float, steps: int = 4000) -> float:
         y += (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         x += h
     return y
+
+
+def leaf_y(annulus, c: float, x: float) -> float:
+    """y-coordinate (mod 1) of the spiral leaf with constant c at abscissa x
+    inside the annulus: y = c + (1/pi) ln|sin(pi x)|, at x - 1/2 for u."""
+    lo, hi = annulus.interval()
+    if not float(lo) < x < float(hi):
+        raise ValueError("x outside the annulus interior")
+    shift = 0.0 if annulus.foliation == "s" else 0.5
+    return (c + math.log(abs(math.sin(math.pi * (x - shift)))) / math.pi) % 1.0
 
 
 def sample_one_leaf(annulus, c: float, samples: int = 120,

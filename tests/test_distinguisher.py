@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from plugflow import distinguisher as dist
 from plugflow import orbit_space as osp
 from plugflow.gluing import crossing_orbit_index
-from plugflow.handedness import old_handedness
+from plugflow.handedness import even_extension_allowed, old_handedness
 from plugflow.homology import one_crossing
 
 
@@ -145,11 +145,12 @@ def test_tampered_certificate_fails_verification():
 
 
 def test_end_chains_of_another_run_rejected():
-    ends = dist.EndChains(2, 7)
-    with pytest.raises(ValueError):
-        dist.distinguish(1, 2, 2, -7, ends)
+    ends = dist.end_chains(2)
+    assert ends == {1: "L", 7: "R"}
     with pytest.raises(ValueError):
         dist.distinguish(1, 2, 3, 7, ends)
+    with pytest.raises(ValueError):
+        dist.distinguish(1, 2, 2, 7, {1: "L"})
 
 
 FLIP = {"L": "R", "R": "L", True: False, False: True, "+": "-", "-": "+"}
@@ -216,8 +217,8 @@ def _forge(m1, m2, n, k):
     """The Inequivalent certificate the argument would give if run on any pair."""
     i_w = next(i for i in range(2 * m1 + 1, 2 * m2 + 1)
                if old_handedness(i, m1, n) != old_handedness(i, m2, n))
-    ends = dist.EndChains(n, k)
-    answers = {str(i): ends.answer(i, m1) for i in (1, 4 * n - 1)}
+    hands = {i: old_handedness(i, m1, n) for i in (1, 4 * n - 1)}
+    answers = {str(i): (hd, even_extension_allowed(hd, i, n, k)) for i, hd in hands.items()}
     return dist.DistinguishVerdict(dist.INEQUIVALENT, m1, m2, n, k, branches=(
         dist.BranchCertificate("preserving", i_w, "handedness-table", {
             f"({i_w},{m1})": old_handedness(i_w, m1, n),

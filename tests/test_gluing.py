@@ -15,12 +15,12 @@ from oracles import affine_fixed_point, pattern_rule, sigma_conjugate, theta_inv
 
 def test_restriction_m0_always_positive_shift():
     for i in range(1, 5):
-        assert gluing.gluing_restriction(0, i, 1).shift == Fraction(1, 2)
+        assert gluing.gluing_restriction(0, i, 1) == Fraction(1, 2)
 
 
 def test_restriction_threshold():
-    assert gluing.gluing_restriction(1, 2, 1).shift == Fraction(-1, 2)
-    assert gluing.gluing_restriction(1, 3, 1).shift == Fraction(1, 2)
+    assert gluing.gluing_restriction(1, 2, 1) == Fraction(-1, 2)
+    assert gluing.gluing_restriction(1, 3, 1) == Fraction(1, 2)
 
 
 def test_restriction_rejects_bad_indices():
@@ -59,7 +59,7 @@ def test_pattern_hits_two_annuli_and_one_compact_leaf():
     for m, i in [(0, 1), (1, 1), (2, 3)]:
         c = 2 * i + 2
         for j in range(c):
-            shift = gluing.gluing_restriction(m, i, 2).shift
+            shift = gluing.gluing_restriction(m, i, 2)
             image = (Fraction(j) + shift, Fraction(j + 1) + shift)
             hits = gluing.annulus_intersection_pattern(m, i, j, 2)
             assert len(hits) == 2

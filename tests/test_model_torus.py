@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from plugflow import model_torus as mt
 from plugflow.cli import SVG_C_GRID
 
-from oracles import rk4_cotangent, sample_one_leaf
+from oracles import leaf_y, rk4_cotangent, sample_one_leaf
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=64)
 torus_indices = st.integers(min_value=1, max_value=8)
@@ -89,7 +89,7 @@ def test_same_leaf_same_constant():
     ann = mt.ReebAnnulusId(2, "s", 1)
     c = 0.347
     for x in (1.2, 1.5, 1.9):
-        y = mt.leaf_y(ann, c, x)
+        y = leaf_y(ann, c, x)
         leaf = mt.leaf_through(mt.TorusPoint(2, x, y), "s")
         assert leaf.c == pytest.approx(c, abs=1e-12)
 
@@ -179,7 +179,7 @@ def test_theta_fixed_axes(i, y):
 def test_theta_preserves_leaf_constants_on_fixed_annulus():
     for c0 in (0.1, 0.35, 0.8):
         for x in (0.15, 0.5, 0.85):
-            y = mt.leaf_y(mt.ReebAnnulusId(1, "s", 0), c0, x)
+            y = leaf_y(mt.ReebAnnulusId(1, "s", 0), c0, x)
             p = mt.TorusPoint(1, x, y)
             q = mt.theta(p)
             leaf = mt.leaf_through(q, "s")

@@ -36,7 +36,7 @@ def test_corner_only_neighbors_not_edge_adjacent():
     # free slot of l1 sitting on that corner
     slot = next(e for e in l1.edges if e.tag == "free-left")
     assert slot.corner in l0.corners
-    new = osp.attach(osp.AttachmentSite(1, slot), unit_s(1, 1), "q")
+    new = osp.attach(slot, unit_s(1, 1), "q")
     assert osp.edge_adjacent(new, l1).adjacent
     adj = osp.edge_adjacent(new, l0)
     assert not adj.adjacent
@@ -145,16 +145,15 @@ def test_attachment_site_count():
         fan = osp.old_fan_cluster(i, 0)
         sites = osp.attachment_sites(fan)
         assert len(sites) == 8 * i + 8
-        assert all(0 <= s.host_index < len(fan) for s in sites)
+        assert set(sites) == set(osp.free_slots(fan.lozenges))
 
 
 def test_end_slots_are_attachment_sites_of_extreme_lozenges():
     fan = osp.old_fan_cluster(1, 0)
     sites = osp.attachment_sites(fan)
     ends = osp.fan_end_slots(fan)
-    site_slots = {s.slot for s in sites}
-    assert set(ends.values()) <= site_slots
-    hosts = {s.slot: s.host_index for s in sites}
+    assert set(ends.values()) <= set(sites)
+    hosts = osp.free_slots(fan.lozenges)
     assert {hosts[ends["u"]], hosts[ends["s"]]} == {0, len(fan) - 1}
 
 
@@ -174,11 +173,9 @@ def test_classify_single_end_extensions():
     for i in (1, 2, 3):
         fan = osp.old_fan_cluster(i, 0)
         ends = osp.fan_end_slots(fan)
-        free = osp.free_slots(fan.lozenges)
         for fol, want in (("u", "C_i^u"), ("s", "C_i^s")):
             slot = ends[fol]
-            new = osp.attach(osp.AttachmentSite(free[slot], slot),
-                             unit_s(1, n), f"ext-{fol}")
+            new = osp.attach(slot, unit_s(1, n), f"ext-{fol}")
             assert osp.extend_fan(fan, fol, unit_s(1, n)) == new
             shape = osp.classify_maximal(list(fan.lozenges) + [new], 7)
             assert shape == osp.MaximalShape(want, i)
@@ -188,9 +185,7 @@ def test_classify_single_end_extensions():
 def test_classify_double_end_extension():
     fan = osp.old_fan_cluster(1, 0)
     ends = osp.fan_end_slots(fan)
-    free = osp.free_slots(fan.lozenges)
-    news = [osp.attach(osp.AttachmentSite(free[ends[f]], ends[f]), unit_s(1, 1),
-                       f"x-{f}") for f in ("u", "s")]
+    news = [osp.attach(ends[f], unit_s(1, 1), f"x-{f}") for f in ("u", "s")]
     shape = osp.classify_maximal(list(fan.lozenges) + news, 7)
     assert shape == osp.MaximalShape("C_i^us", 1)
     assert shape.lozenge_count() == 9
@@ -199,12 +194,11 @@ def test_classify_double_end_extension():
 def test_classify_rejects_two_new_adjacent():
     fan = osp.old_fan_cluster(1, 0)
     ends = osp.fan_end_slots(fan)
-    free = osp.free_slots(fan.lozenges)
     slot = ends["u"]
-    first = osp.attach(osp.AttachmentSite(free[slot], slot), unit_s(1, 1), "n1")
+    first = osp.attach(slot, unit_s(1, 1), "n1")
     chain_slot = next(e for e in first.edges
                       if e.corner != slot.corner and e.foliation == "s")
-    second = osp.attach(osp.AttachmentSite(0, chain_slot), unit_s(1, 1), "n2")
+    second = osp.attach(chain_slot, unit_s(1, 1), "n2")
     out = osp.classify_maximal(list(fan.lozenges) + [first, second], 7)
     assert isinstance(out, osp.NotClassifiable)
     assert out.reason == "two-new-adjacent"
@@ -234,8 +228,9 @@ def test_classify_rejects_bridge():
 def test_classify_interior_attachment_not_fan_type():
     fan = osp.old_fan_cluster(1, 0)
     ends = set(osp.fan_end_slots(fan).values())
-    sites = [s for s in osp.attachment_sites(fan) if s.slot not in ends
-             and 0 < s.host_index < len(fan) - 1]
+    hosts = osp.free_slots(fan.lozenges)
+    sites = [s for s in osp.attachment_sites(fan) if s not in ends
+             and 0 < hosts[s] < len(fan) - 1]
     new = osp.attach(sites[0], unit_s(1, 1), "mid")
     out = osp.classify_maximal(list(fan.lozenges) + [new], 7)
     assert isinstance(out, osp.NotClassifiable)
@@ -246,9 +241,7 @@ def test_classify_interior_attachment_not_fan_type():
 def test_classification_order_invariant(perm):
     fan = osp.old_fan_cluster(1, 0)
     ends = osp.fan_end_slots(fan)
-    free = osp.free_slots(fan.lozenges)
-    new = osp.attach(osp.AttachmentSite(free[ends["u"]], ends["u"]),
-                     unit_s(1, 1), "x")
+    new = osp.attach(ends["u"], unit_s(1, 1), "x")
     lozenges = list(fan.lozenges) + [new]
     shuffled = [lozenges[p] for p in perm]
     assert osp.classify_maximal(shuffled, 7) == osp.classify_maximal(lozenges, 7)

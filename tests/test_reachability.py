@@ -43,8 +43,6 @@ ROOTS = {
     "plug.plug_from_json": "bench/client.py",
     # the benchmark's plug round trip; the CLI streams plug_document instead
     "plug.plug_to_json": "bench/client.py",
-    # the forward closed form that the leaf-constant tests evaluate
-    "model_torus.leaf_y": "tests/test_model_torus.py",
 }
 
 
@@ -171,6 +169,9 @@ def test_roots_exist_and_are_called_where_listed():
     defs = _parse()[0]
     for q, caller in ROOTS.items():
         assert q in defs, f"ROOTS names {q}, which no longer exists"
+        assert caller == "tests/test_acceptance.py" or caller.startswith("bench/"), (
+            f"ROOTS lists {q} for {caller}: only an acceptance criterion or the "
+            "benchmark may keep a name alive; move test references to tests/oracles.py")
         call = re.compile(rf"\b{defs[q].short}\(")
         assert call.search((ROOT / caller).read_text()), f"{caller} does not call {q}"
     for q in ENTRY:
