@@ -18,8 +18,9 @@ file (--config) can set any flag and carries the crossing-model parameters;
 a flag given on the command line takes precedence over the config value.
 Config keys a command does not read are rejected as usage errors.
 
-Exit codes: 0 success, 1 usage error, 2 a pair expected Inequivalent came
-back Inconclusive, 3 internal invariant failure.
+Exit codes: 0 success, 1 usage error (a crossing model that fails its own
+validation included), 2 a pair expected Inequivalent came back
+Inconclusive, 3 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -164,10 +165,14 @@ def _settings(args, defaults: dict) -> dict:
 
 
 def _crossing_model(s: dict) -> gluing.ModelCrossingMap:
-    """The configured crossing model; settings left unset keep the model's defaults."""
+    """The configured crossing model; settings left unset keep the model's
+    defaults.  A model its own validation rejects is a usage error."""
     given = {key: s[key] for key in ("mu", "s_offsets", "interval")
              if s[key] is not None}
-    return gluing.ModelCrossingMap(n=s["n"], **given)
+    try:
+        return gluing.ModelCrossingMap(n=s["n"], **given)
+    except gluing.InvalidCrossingModel as exc:
+        raise _UsageError(f"crossing model: {exc}")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -184,7 +189,8 @@ def cmd_plug(args) -> int:
 
 
 def invariants_document(n: int, k: int) -> dict:
-    rows = [{"i": i, "cluster_size": 4 * i + 3, "handedness_by_m": row}
+    rows = [{"i": i, "cluster_size": osp.MaximalShape("C_i", i).lozenge_count(),
+             "handedness_by_m": row}
             for i, row in handedness.handedness_table(n).items()]
     return {"n": n, "k": k, "columns_m": list(range(2 * n + 1)), "rows": rows}
 

@@ -20,7 +20,9 @@ only run inside the range where it is actually proved.
 
 Each certificate branch has one constructor, which distinguish and
 verify_certificate share; both hand the reversing one the end chains'
-handedness only, and it applies the even-extension rule.  In the proven
+handedness only, and it applies the even-extension rule
+(handedness.even_extension_allowed) and takes as witness the first end
+torus, named once by _end_tori, that the rule refuses.  In the proven
 range the end chains depend neither on the pair nor on k, so end_chains(n)
 reads them off their photos once per run; the verifier never reads it and
 takes the handedness from old_handedness.  Verdict computation is otherwise
@@ -104,16 +106,22 @@ def _preserving_branch(i: int, m1: int, m2: int, n: int) -> Optional[BranchCerti
                              table_cells={f"({i},{m1})": h1, f"({i},{m2})": h2})
 
 
+def _end_tori(n: int) -> tuple[int, int]:
+    """The tori T_1 and T_{4n-1}, whose old chains the reversing branch reads."""
+    return (1, 4 * n - 1)
+
+
 def _reversing_branch(hands: dict[int, str], n: int,
                       k: int) -> Optional[BranchCertificate]:
     """The reversing branch from {end torus: handedness of its old chain}.
 
-    Both end chains would be forced to grow even extensions; the one at
-    T_{4n-1} (k > 0) or T_1 (k < 0) cannot, else None.
+    Both end chains would be forced to grow even extensions; the witness is
+    the first end torus, in increasing order, whose chain the even-extension
+    rule refuses, and None if it refuses neither.
     """
     allowed = {i: even_extension_allowed(hd, i, n, k) for i, hd in hands.items()}
-    refuting = 4 * n - 1 if k > 0 else 1
-    if allowed[refuting]:
+    refuting = next((i for i in sorted(allowed) if not allowed[i]), None)
+    if refuting is None:
         return None
     return BranchCertificate(
         orientation="reversing", witness_torus=refuting,
@@ -134,7 +142,7 @@ def end_chains(n: int) -> dict[int, str]:
     [1, 2n-1]; so any m1 of the proven range, [1, 2n-2], gives the same
     chains: T_1 is L and T_{4n-1} is R.  A run builds them once.
     """
-    return {i: old_sa_annulus(i, 1, n).handedness for i in (1, 4 * n - 1)}
+    return {i: old_sa_annulus(i, 1, n).handedness for i in _end_tori(n)}
 
 
 def distinguish(m1: int, m2: int, n: int, k: int,
@@ -148,8 +156,8 @@ def distinguish(m1: int, m2: int, n: int, k: int,
     m1, m2 = check_pair(m1, m2, n)
     if k == 0:
         raise ValueError("surgery index k must be nonzero")
-    if ends is not None and set(ends) != {1, 4 * n - 1}:
-        raise ValueError(f"end chains at tori {sorted(ends)}, not at 1 and {4 * n - 1}")
+    if ends is not None and sorted(ends) != list(_end_tori(n)):
+        raise ValueError(f"end chains at tori {sorted(ends)}, not at {_end_tori(n)}")
     if not proven_range(m1, m2, n):
         return DistinguishVerdict(INCONCLUSIVE, m1, m2, n, k,
                                   reason="outside proven range")
@@ -186,7 +194,7 @@ def verify_certificate(verdict: DistinguishVerdict) -> bool:
     i_w = verdict.branches[0].witness_torus
     if not 2 * m1 + 1 <= i_w <= 2 * m2:
         return False
-    hands = {i_end: old_handedness(i_end, m1, n) for i_end in (1, 4 * n - 1)}
+    hands = {i_end: old_handedness(i_end, m1, n) for i_end in _end_tori(n)}
     return verdict.branches == (_preserving_branch(i_w, m1, m2, n),
                                 _reversing_branch(hands, n, k))
 

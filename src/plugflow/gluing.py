@@ -1,8 +1,10 @@
 """Gluing maps, the affine crossing model and its markovian fixed point.
 
 The m-th gluing map sends each exit torus to its entrance copy through the
-involution followed by a horizontal half shift: -1/2 on the tori with index
-i <= 2m and +1/2 on the rest.  Its effect on the boundary laminations is
+involution followed by a horizontal half shift: -1/2 on the tori whose
+crossing orbit j = ceil(i/2) the flow takes through L components
+(rectangle_chirality, the one home of the gluing side: j <= m) and +1/2 on
+the rest.  Its effect on the boundary laminations is
 computed here by exact interval arithmetic on the model tori: the image of a
 u-annulus overlaps exactly two consecutive s-annuli ({j-1, j} under the
 negative shift, {j, j+1} under the positive one).
@@ -36,21 +38,14 @@ from typing import Mapping
 
 from . import model_torus as mt
 
-MINUS_HALF = Fraction(-1, 2)
-PLUS_HALF = Fraction(1, 2)
 
-
-def _check_indices(m: int, i: int, n: int) -> None:
+def gluing_restriction(m: int, i: int, n: int) -> Fraction:
+    """The half shift of the m-th gluing map, tau_shift . sigma, on the i-th exit torus."""
     if not 0 <= m <= 2 * n:
         raise ValueError(f"m must be in [0, {2 * n}], got {m}")
     if not 1 <= i <= 4 * n:
         raise ValueError(f"i must be in [1, {4 * n}], got {i}")
-
-
-def gluing_restriction(m: int, i: int, n: int) -> Fraction:
-    """The half shift of the m-th gluing map, tau_shift . sigma, on the i-th exit torus."""
-    _check_indices(m, i, n)
-    return MINUS_HALF if i <= 2 * m else PLUS_HALF
+    return Fraction(-1 if rectangle_chirality(m, crossing_orbit_index(i)) == "L" else 1, 2)
 
 
 def annulus_intersection_pattern(m: int, i: int, j: int, n: int) -> frozenset[int]:
@@ -90,6 +85,11 @@ def pair_torus(t: int) -> int:
 def crossing_orbit_index(t: int) -> int:
     """The crossing orbit meeting torus t: j = ceil(t/2)."""
     return (t + 1) // 2
+
+
+def rectangle_chirality(m: int, j: int) -> str:
+    """Which components the m-th flow uses at the j-th crossing orbit."""
+    return "L" if j <= m else "R"
 
 
 # -- the affine crossing model ---------------------------------------------------
@@ -160,11 +160,6 @@ class ModelCrossingMap:
             if not (lo < pre_lo and pre_hi < hi):
                 raise InvalidCrossingModel(
                     f"unstable window of torus {t} strip misses its rectangle")
-
-
-def rectangle_chirality(m: int, j: int) -> str:
-    """Which components the m-th flow uses at the j-th crossing orbit."""
-    return "L" if j <= m else "R"
 
 
 # -- the markovian fixed point ----------------------------------------------------

@@ -18,7 +18,9 @@ A noncompact s-leaf inside annulus j is the graph
 for a constant c in R/Z, which we call the leaf constant.  This closed form
 is the elementary integral of dy/dx = cot(pi x); ``leaf_constant_drift``
 exposes the data needed to validate it against a numerical integrator.
-u-leaf constants are computed through the half-shift conjugation.
+u-leaf constants are computed through the half-shift conjugation.  _shift
+is the one home of the half shift, and a point is on a compact leaf exactly
+when annulus_of puts it on an annulus boundary.
 
 Coordinates are kept exact: rational inputs stay ``Fraction`` all the way
 through the modular arithmetic (so annulus-membership decisions never depend
@@ -41,6 +43,12 @@ FLOAT_TOL = 1e-12
 S = "s"
 U = "u"
 FOLIATIONS = (S, U)
+
+
+def _shift(foliation: str) -> Fraction:
+    """x-offset of the foliation's compact leaves from the integers: u is the
+    s foliation moved by the half shift x -> x + 1/2."""
+    return Fraction(1, 2) if foliation == U else Fraction(0)
 
 
 def circumference(i: int) -> int:
@@ -105,10 +113,7 @@ class ReebAnnulusId:
 
     def interval(self) -> tuple[Fraction, Fraction]:
         """Closed x-interval [lo, hi] covered by this annulus (hi may exceed the modulus)."""
-        if self.foliation == S:
-            lo = Fraction(self.j)
-        else:
-            lo = Fraction(self.j) - Fraction(1, 2)
+        lo = self.j - _shift(self.foliation)
         return lo, lo + 1
 
 
@@ -138,19 +143,13 @@ class ModelLeaf:
 
 def compact_leaf_positions(i: int, foliation: str) -> list[Fraction]:
     """x-coordinates of the 2i+2 compact leaves (integers for s, half-integers for u)."""
-    c = circumference(i)
-    off = Fraction(0) if foliation == S else Fraction(1, 2)
-    return [off + k for k in range(c)]
+    off = _shift(foliation)
+    return [off + k for k in range(circumference(i))]
 
 
 def reeb_annuli(i: int, foliation: str) -> list[ReebAnnulusId]:
     """The 2i+2 Reeb annuli of the chosen foliation."""
     return [ReebAnnulusId(i, foliation, j) for j in range(circumference(i))]
-
-
-def on_compact_leaf(p: TorusPoint, foliation: str) -> bool:
-    x = p.x if foliation == S else p.x - Fraction(1, 2)
-    return _is_multiple(x, Fraction(1))
 
 
 def annulus_of(p: TorusPoint, foliation: str) -> AnnulusLocation:
@@ -160,8 +159,7 @@ def annulus_of(p: TorusPoint, foliation: str) -> AnnulusLocation:
     having the point as its positive-x boundary, with on_boundary=True.
     """
     c = circumference(p.i)
-    shift = Fraction(0) if foliation == S else Fraction(1, 2)
-    t = norm_mod(p.x + shift, c)  # annulus j covers t in [j, j+1]
+    t = norm_mod(p.x + _shift(foliation), c)  # annulus j covers t in [j, j+1]
     if _is_multiple(t, Fraction(1)):
         j = int(round(float(t))) % c
         return AnnulusLocation(ReebAnnulusId(p.i, foliation, (j - 1) % c), True)
@@ -183,14 +181,15 @@ def s_leaf_constant(x: Coord, y: Coord) -> float:
 
 def u_leaf_constant(x: Coord, y: Coord) -> float:
     """u-constant via the half-shift conjugation (the s-constant at x - 1/2)."""
-    return s_leaf_constant(float(x) - 0.5, y)
+    return s_leaf_constant(float(x) - float(_shift(U)), y)
 
 
 def leaf_through(p: TorusPoint, foliation: str) -> ModelLeaf:
-    """The model leaf through p; compact when sin vanishes, spiral otherwise."""
-    if on_compact_leaf(p, foliation):
+    """The model leaf through p; compact on an annulus boundary, where sin
+    vanishes, spiral otherwise."""
+    ann, on_boundary = annulus_of(p, foliation)
+    if on_boundary:
         return ModelLeaf(p.i, foliation, "compact", x0=p.x)
-    ann, _ = annulus_of(p, foliation)
     c = s_leaf_constant(p.x, p.y) if foliation == S else u_leaf_constant(p.x, p.y)
     return ModelLeaf(p.i, foliation, "noncompact", annulus=ann, c=c)
 
@@ -252,10 +251,9 @@ def sample_leaf_polyline(annulus: ReebAnnulusId, cs: Sequence[float], samples: i
     lo, hi = map(float, annulus.interval())
     xs = [lo + margin + (hi - lo - 2 * margin) * t / (samples - 1)
           for t in range(samples)]
-    if annulus.foliation == S:
-        gs = [_log_abs_sin_pi(x) for x in xs]
-    else:
-        gs = [_log_abs_sin_pi(x - 0.5) for x in xs]
+    # x - 0.0 is x, so the s profile is the one taken without a shift
+    shift = float(_shift(annulus.foliation))
+    gs = [_log_abs_sin_pi(x - shift) for x in xs]
     leaves = []
     for c in cs:
         raws = [c + g for g in gs]

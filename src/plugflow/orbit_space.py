@@ -8,7 +8,9 @@ chain of lozenges with period 4i+4 (one lozenge per fundamental annulus of
 the isotoped torus, corners running through the 4i+4 boundary orbits, shared
 edges alternating stable/unstable).  Deleting the lozenge punctured by the
 crossing orbit leaves the old fan cluster with 4i+3 lozenges and 8i+8 free
-slots.
+slots.  MaximalShape.lozenge_count is the one home of that count, and
+_chain_fan cuts every fan (old_fan_cluster's, and the run classify_maximal
+finds) from its chain, reading the labels off the chain positions.
 
 Classification routes every attachment through the homology filters instead
 of enumerating allowed shapes by hand: two new lozenges may not share an
@@ -24,7 +26,6 @@ corpora can be processed in parallel freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -202,9 +203,8 @@ def punctured_position(i: int, m: int) -> int:
     hi = min(s_iv[1], u_iv[1])
     if not lo < hi:
         raise AssertionError("crossing annuli do not overlap")
-    # position of the boundary leaves: x = r -> 2r (stable), x = r - 1/2 -> 2r - 1
-    left = 2 * int(lo) if lo.denominator == 1 else 2 * int(lo + Fraction(1, 2)) - 1
-    right = 2 * int(hi) if hi.denominator == 1 else 2 * int(hi + Fraction(1, 2)) - 1
+    # the compact leaf at x (integer for s, half-integer for u) sits at position 2x
+    left, right = int(2 * lo), int(2 * hi)
     if right != left + 1:
         raise AssertionError("puncture does not sit between consecutive leaves")
     assert 0 <= left < 2 * c
@@ -251,11 +251,16 @@ def old_fan_cluster(i: int, m: int) -> FanCluster:
     same for every m.
     """
     chain = build_old_chain(i)
-    d = punctured_position(i, m)
-    ks = range(d + 1, d + chain.period)
-    lozenges = tuple(chain.lozenge(k) for k in ks)
-    labels = tuple(chain_label(k) for k in list(ks)[:-1])
-    return FanCluster(lozenges, labels)
+    start = punctured_position(i, m) + 1
+    return _chain_fan([chain.lozenge(k) for k in range(start, start + chain.period - 1)],
+                      start)
+
+
+def _chain_fan(lozenges: Sequence[Lozenge], start: int) -> FanCluster:
+    """The fan of chain lozenges at the consecutive positions start, start+1, ...;
+    chain_label gives the adjacency label between each two."""
+    return FanCluster(tuple(lozenges),
+                      tuple(chain_label(k) for k in range(start, start + len(lozenges) - 1)))
 
 
 def free_slots(lozenges: Sequence[Lozenge]) -> dict[EdgeSlot, int]:
@@ -317,11 +322,10 @@ class MaximalShape:
     tag: str   # "C_i" | "C_i^u" | "C_i^s" | "C_i^us"
     i: int
 
-    SIZES = {"C_i": lambda i: 4 * i + 3, "C_i^u": lambda i: 4 * i + 4,
-             "C_i^s": lambda i: 4 * i + 4, "C_i^us": lambda i: 4 * i + 5}
-
     def lozenge_count(self) -> int:
-        return MaximalShape.SIZES[self.tag](self.i)
+        """The old fan's 4i+3 lozenges (the one home of that count) and one new
+        lozenge per end named after the ^."""
+        return 4 * self.i + 3 + len(self.tag.partition("^")[2])
 
 
 @dataclass(frozen=True)
@@ -382,7 +386,7 @@ def classify_maximal(lozenges: Sequence[Lozenge], k: int,
 
     if len(runs) > 1:
         # filter 2: some new lozenge bridges two old chains
-        run_of = {idx: rid for rid, members in enumerate(runs) for idx in members}
+        run_of = {idx: rid for rid, (_, members) in enumerate(runs) for idx in members}
         for idx in news:
             neighbor_runs = set()
             for x, y, _ in pairs:
@@ -401,13 +405,13 @@ def classify_maximal(lozenges: Sequence[Lozenge], k: int,
         return NotClassifiable("no-old-fan",
                                "old lozenges split into several chains")
 
-    run = runs[0]
+    start, run = runs[0]
     i = lozenges[run[0]].corner_a.i
-    if len(run) != 4 * i + 3:
+    need = MaximalShape("C_i", i).lozenge_count()
+    if len(run) != need:
         return NotClassifiable("no-old-fan",
-                               f"old chain has {len(run)} lozenges, an old fan needs "
-                               f"{4 * i + 3}")
-    fan = _fan_from_run(lozenges, run)
+                               f"old chain has {len(run)} lozenges, an old fan needs {need}")
+    fan = _chain_fan([lozenges[idx] for idx in run], start)
     ends = fan_end_slots(fan)
 
     attached_ends: set[str] = set()
@@ -422,36 +426,27 @@ def classify_maximal(lozenges: Sequence[Lozenge], k: int,
     if len(attached_ends) != len(news):
         return NotClassifiable("not-fan-type", "several new lozenges on one end")
 
-    tag = {frozenset(): "C_i", frozenset({"u"}): "C_i^u",
-           frozenset({"s"}): "C_i^s", frozenset({"u", "s"}): "C_i^us"}[
-               frozenset(attached_ends)]
-    return MaximalShape(tag, i)
+    ext = "".join(f for f in "us" if f in attached_ends)
+    return MaximalShape(f"C_i^{ext}" if ext else "C_i", i)
 
 
 def _old_runs(lozenges: Sequence[Lozenge],
-              by_torus: dict[int, list[int]]) -> list[list[int]]:
-    """Split the old lozenges into maximal consecutive chain runs."""
-    runs: list[list[int]] = []
+              by_torus: dict[int, list[int]]) -> list[tuple[int, list[int]]]:
+    """Split the old lozenges into maximal consecutive chain runs, each the
+    chain position of its first lozenge and its indices in chain order."""
+    runs: list[tuple[int, list[int]]] = []
     for i, idxs in sorted(by_torus.items()):
         chain = build_old_chain(i)
         positioned = sorted((chain.position_of(lozenges[idx]), idx) for idx in idxs)
-        current = [positioned[0][1]]
+        start, current = positioned[0][0], [positioned[0][1]]
         for (pk, _), (ck, idx) in zip(positioned, positioned[1:]):
             if ck == pk + 1:
                 current.append(idx)
             else:
-                runs.append(current)
-                current = [idx]
-        runs.append(current)
+                runs.append((start, current))
+                start, current = ck, [idx]
+        runs.append((start, current))
     return runs
-
-
-def _fan_from_run(lozenges: Sequence[Lozenge], run: list[int]) -> FanCluster:
-    ordered = tuple(lozenges[idx] for idx in run)
-    labels = []
-    for a, b in zip(ordered, ordered[1:]):
-        labels.append(edge_adjacent(a, b).foliation)
-    return FanCluster(ordered, tuple(labels))
 
 
 # -- photos -------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import io
 import itertools
 import json
 import os
+import re
+import shlex
 import stat
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -521,9 +523,27 @@ def test_canonical_torus_keys_are_accepted(tmp_path):
     assert run(["--config", cfgfile, "distinguish"]) == 0
 
 
-def test_invalid_crossing_model_is_internal_failure(tmp_path):
-    assert run(["distinguish", "--n", 2, "--k", 7, "--mu", 1.05,
-                "--out", tmp_path / "certs"]) == cli.EXIT_INTERNAL
+# crossing models the model's own validation rejects: the user's input, not an engine fault
+REJECTED_MODELS = {
+    "mu-1": (["--mu", "1.0"], None),
+    "mu-1.05": (["--mu", "1.05"], None),
+    "mu-nan": (["--mu", "nan"], None),
+    "mu-inf": (["--mu", "inf"], None),
+    "empty-interval": ([], '{"interval": [0.4, 0.1]}'),
+    "offset-off-strip": ([], '{"s_offsets": {"1": 5.0}}'),
+    "mu-overflows-to-inf": ([], '{"mu": 1e400}'),
+}
+
+
+@pytest.mark.parametrize("flags, config", REJECTED_MODELS.values(), ids=REJECTED_MODELS)
+def test_invalid_crossing_model_is_usage_error(tmp_path, flags, config):
+    argv = ["distinguish", "--n", 2, "--k", 7, *flags, "--out", tmp_path / "certs"]
+    if config is not None:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(config)
+        argv = ["--config", cfgfile, *argv]
+    assert run(argv) == cli.EXIT_USAGE
+    assert not (tmp_path / "certs").exists()
 
 
 def test_verdict_mismatch_exit_code(tmp_path, monkeypatch):
@@ -546,3 +566,41 @@ def test_inner_value_or_key_error_is_internal_failure(tmp_path, monkeypatch, err
 
     monkeypatch.setattr(plug, "build_plug", broken)
     assert run(["plug", "--n", 1, "--out", tmp_path / "plug.json"]) == cli.EXIT_INTERNAL
+
+
+# -- README ---------------------------------------------------------------------------
+
+README_CLI = (Path(__file__).resolve().parent.parent / "README.md").read_text().split(
+    "\n## CLI\n")[1].split("\n## ")[0]
+#: the run.json example; `plugflow --config run.json distinguish` reads it
+README_RUN_JSON = re.findall(r"```json\n(.*?)```", README_CLI, re.S)[0]
+README_COMMANDS = [shlex.split(line)[1:]
+                   for block in re.findall(r"```sh\n(.*?)```", README_CLI, re.S)
+                   for line in block.splitlines() if line.startswith("plugflow ")]
+
+
+def test_readme_lists_every_command():
+    assert {argv[argv.index("--config") + 2] if "--config" in argv else argv[0]
+            for argv in README_COMMANDS} == set(cli.COMMANDS)
+    assert ["--config", "run.json", "distinguish"] in README_COMMANDS
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_cli_example_runs(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text(README_RUN_JSON)
+    assert cli.main(argv) == cli.EXIT_OK
+    if "--out" in argv:
+        out = Path(argv[argv.index("--out") + 1])
+    else:
+        out = Path(json.loads(README_RUN_JSON)["out"])
+    if out.is_dir():
+        written = sorted(p.name for p in out.iterdir())
+        assert written and all(re.fullmatch(r"certificate_m\d+_m\d+\.json", w)
+                               for w in written)
+    else:
+        assert out.is_file() and out.stat().st_size > 0
+    if "--config" in argv:
+        pairs = json.loads(README_RUN_JSON)["pairs"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"certificate_m{a}_m{b}.json" for a, b in pairs)

@@ -153,6 +153,43 @@ def test_end_chains_of_another_run_rejected():
         dist.distinguish(1, 2, 2, 7, {1: "L"})
 
 
+# -- the reversing witness is the end torus the even-extension rule refuses ---------------
+#
+# The rule says no exactly for (R, k > 0) and (L, k < 0).  With the run's own end
+# chains (T_1 is L, T_7 is R at n = 2) that is T_7 for k > 0 and T_1 for k < 0;
+# with the two handedness values swapped it is the other end torus.
+
+REFUSED_END = {("ends", 7): 7, ("ends", -7): 1, ("swapped", 7): 1, ("swapped", -7): 7}
+
+
+@pytest.mark.parametrize("ends, k", REFUSED_END, ids=[f"{e}-k{k}" for e, k in REFUSED_END])
+def test_reversing_witness_is_the_refused_end_torus(ends, k):
+    hands = dist.end_chains(2)
+    if ends == "swapped":
+        hands = {1: hands[7], 7: hands[1]}
+    v = dist.distinguish(1, 2, 2, k, hands)
+    assert v.tag == dist.INEQUIVALENT
+    reversing = v.branches[1]
+    assert reversing.orientation == "reversing"
+    assert reversing.witness_torus == REFUSED_END[ends, k]
+    assert reversing.table_cells["extension_allowed"] == {
+        str(i): i != REFUSED_END[ends, k] for i in (1, 7)}
+
+
+def test_negating_k_moves_only_the_reversing_witness():
+    for n in range(1, 5):
+        ends = dist.end_chains(n)
+        for m1, m2 in itertools.combinations(range(2 * n + 1), 2):
+            if not dist.proven_range(m1, m2, n):
+                continue
+            for k in (1, 7):
+                plus = dist.distinguish(m1, m2, n, k, ends)
+                minus = dist.distinguish(m1, m2, n, -k, ends)
+                assert plus.branches[0] == minus.branches[0], (n, m1, m2, k)
+                assert (plus.branches[1].witness_torus,
+                        minus.branches[1].witness_torus) == (4 * n - 1, 1), (n, m1, m2, k)
+
+
 FLIP = {"L": "R", "R": "L", True: False, False: True, "+": "-", "-": "+"}
 
 
