@@ -135,7 +135,7 @@ def _settings(args, defaults: dict) -> dict:
         try:
             with open(args.config) as f:
                 cfg = json.load(f)
-        except UnicodeDecodeError as exc:
+        except (UnicodeDecodeError, RecursionError) as exc:
             raise _UsageError(f"config {args.config}: {exc}")
         if not isinstance(cfg, dict):
             raise _UsageError(f"config {args.config} is not a JSON object")

@@ -96,6 +96,11 @@ def check_pair(m1: int, m2: int, n: int) -> tuple[int, int]:
     return m1, m2
 
 
+def _preserving_tori(m1: int, m2: int) -> range:
+    """The tori whose crossing-orbit index lies in (m1, m2]: T_{2m1+1}..T_{2m2}."""
+    return range(2 * m1 + 1, 2 * m2 + 1)
+
+
 def _preserving_branch(i: int, m1: int, m2: int, n: int) -> Optional[BranchCertificate]:
     """The preserving branch witnessed by T_i, or None if its handedness agrees."""
     h1, h2 = old_handedness(i, m1, n), old_handedness(i, m2, n)
@@ -164,7 +169,7 @@ def distinguish(m1: int, m2: int, n: int, k: int,
 
     # preserving branch: the first torus index whose crossing orbit flips
     preserving = next(filter(None, (_preserving_branch(i, m1, m2, n)
-                                    for i in range(2 * m1 + 1, 2 * m2 + 1))), None)
+                                    for i in _preserving_tori(m1, m2))), None)
     if preserving is None:
         return DistinguishVerdict(INCONCLUSIVE, m1, m2, n, k,
                                   reason="no handedness witness found")
@@ -180,7 +185,7 @@ def verify_certificate(verdict: DistinguishVerdict) -> bool:
     """Rebuild both branches of a certificate and compare them whole.
 
     An Inconclusive verdict carries no branches.  An Inequivalent one must
-    lie in the proven range, with its preserving witness in [2m1+1, 2m2];
+    lie in the proven range, with its preserving witness in _preserving_tori;
     its branches must then equal, in order, what the branch constructors
     give from old_handedness and even_extension_allowed for its pair.
     """
@@ -192,7 +197,7 @@ def verify_certificate(verdict: DistinguishVerdict) -> bool:
     if k == 0 or not proven_range(m1, m2, n):
         return False
     i_w = verdict.branches[0].witness_torus
-    if not 2 * m1 + 1 <= i_w <= 2 * m2:
+    if i_w not in _preserving_tori(m1, m2):
         return False
     hands = {i_end: old_handedness(i_end, m1, n) for i_end in _end_tori(n)}
     return verdict.branches == (_preserving_branch(i_w, m1, m2, n),

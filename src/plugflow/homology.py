@@ -1,17 +1,18 @@
 """Integer intersection calculus over the transverse-torus basis.
 
 First homology is seen only through algebraic intersection numbers with the
-4n transverse tori T_1..T_4n: a class is a length-4n integer vector.  The
-crossing orbits alpha_1..alpha_2n satisfy Int(alpha_j, T_t) = 1 exactly for
-t in {2j-1, 2j}; the surgery longitude of alpha_j represents the same
-vector, the meridian is null-homologous, so after index-k surgery the new
-meridian represents k * alpha_class(j).
+4n transverse tori T_1..T_4n.  The crossing orbit alpha_j meets T_t once,
+positively, exactly when j = crossing_orbit_index(t) = ceil(t/2); the
+surgery longitude of alpha_j has the same intersections, the meridian is
+null-homologous, so after index-k surgery an annulus crossing alpha_j s_j
+times contributes k * s_j to its intersection with T_t.  _crossing is the
+one home of that number; a corner class given explicitly (an omega) is a
+length-4n vector of its intersections.
 
 Every decision procedure below exploits one fact: periodic orbits of the
 pre-surgery flow cross each torus non-negatively, so any corner class whose
-forced intersection number goes negative is impossible.  Crossing signs
-(co-oriented vs not, per annulus) enter as explicit +/-1 flags; the defaults
-are the conventions used in the forbidden-configuration arguments.
+forced intersection number goes negative is impossible.  Each decision
+scans the tori in increasing order, so its witness is the first failing one.
 
 Pure functions on plain tuples; embarrassingly parallel over configurations.
 """
@@ -19,6 +20,8 @@ Pure functions on plain tuples; embarrassingly parallel over configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .gluing import crossing_orbit_index
 
 H1Vector = tuple[int, ...]
 
@@ -30,40 +33,9 @@ def h1_zero(n: int) -> H1Vector:
     return (0,) * (4 * n)
 
 
-def alpha_class(j: int, n: int) -> H1Vector:
-    """Class of the j-th crossing orbit: one positive crossing of T_2j-1 and of T_2j."""
-    if not 1 <= j <= 2 * n:
-        raise ValueError(f"j must be in [1, {2 * n}], got {j}")
-    v = [0] * (4 * n)
-    v[2 * j - 2] = 1
-    v[2 * j - 1] = 1
-    return tuple(v)
-
-
-def h1_add(a: H1Vector, b: H1Vector) -> H1Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def h1_scale(k: int, a: H1Vector) -> H1Vector:
-    return tuple(k * x for x in a)
-
-
-def h1_neg(a: H1Vector) -> H1Vector:
-    return h1_scale(-1, a)
-
-
-def intersection(v: H1Vector, torus: int) -> int:
-    """Int(v, T_torus), tori numbered from 1."""
-    return v[torus - 1]
-
-
-def surgery_correction(k: int, s: tuple[int, ...], n: int) -> H1Vector:
-    """k * sum_j s_j [alpha_j]: the class the surgered meridians contribute."""
-    total = h1_zero(n)
-    for j, sj in enumerate(s, start=1):
-        if sj:
-            total = h1_add(total, h1_scale(k * sj, alpha_class(j, n)))
-    return total
+def _crossing(k: int, s: tuple[int, ...], t: int) -> int:
+    """Int(k * sum_j s_j [alpha_j], T_t): only alpha_ceil(t/2) meets T_t."""
+    return k * s[crossing_orbit_index(t) - 1]
 
 
 @dataclass(frozen=True)
@@ -105,13 +77,12 @@ class Verdict:
 class TwoNewAdjacentConfig:
     """Two new lozenges sharing an edge; corners omega1-omega2-omega3.
 
-    The middle corner class is forced twice, once through each annulus:
+    The middle corner class is forced twice, once through each annulus, with
+    the standard crossing co-orientations of the two annuli fixed as the
+    signs -1 and +1:
 
-        [omega2] = -[omega1] + sign1 * k * sum_j s1_j [alpha_j]
-        [omega2] = -[omega3] + sign2 * k * sum_j s2_j [alpha_j]
-
-    sign1/sign2 are the per-annulus crossing co-orientation flags; the
-    defaults (-1, +1) are the standard convention.
+        [omega2] = -[omega1] - k * sum_j s1_j [alpha_j]
+        [omega2] = -[omega3] + k * sum_j s2_j [alpha_j]
     """
 
     n: int
@@ -120,8 +91,6 @@ class TwoNewAdjacentConfig:
     omega3: H1Vector
     s1: NewLozengeData
     s2: NewLozengeData
-    sign1: int = -1
-    sign2: int = 1
 
     def __post_init__(self):
         if self.k == 0:
@@ -132,15 +101,6 @@ class TwoNewAdjacentConfig:
         for s in (self.s1, self.s2):
             if len(s.s) != 2 * self.n:
                 raise ValueError("s-vector has wrong length")
-        if abs(self.sign1) != 1 or abs(self.sign2) != 1:
-            raise ValueError("sign flags must be +1 or -1")
-
-    def forced_middle_classes(self) -> tuple[H1Vector, H1Vector]:
-        v1 = h1_add(h1_neg(self.omega1),
-                    h1_scale(self.sign1, surgery_correction(self.k, self.s1.s, self.n)))
-        v2 = h1_add(h1_neg(self.omega3),
-                    h1_scale(self.sign2, surgery_correction(self.k, self.s2.s, self.n)))
-        return v1, v2
 
 
 def decide_two_new_adjacent(cfg: TwoNewAdjacentConfig) -> Verdict:
@@ -150,9 +110,9 @@ def decide_two_new_adjacent(cfg: TwoNewAdjacentConfig) -> Verdict:
     expressions must agree and be componentwise nonnegative.  The witness is
     the first torus where this fails for every assignment.
     """
-    v1, v2 = cfg.forced_middle_classes()
     for t in range(1, 4 * cfg.n + 1):
-        a, b = intersection(v1, t), intersection(v2, t)
+        a = -cfg.omega1[t - 1] - _crossing(cfg.k, cfg.s1.s, t)
+        b = -cfg.omega3[t - 1] + _crossing(cfg.k, cfg.s2.s, t)
         if a != b:
             return Verdict(FORBIDDEN, t,
                            f"middle class forced to {a} through one annulus "
@@ -218,11 +178,9 @@ def decide_sa_extension(handedness: str, k: int, s: NewLozengeData) -> Verdict:
         raise ValueError("handedness must be 'L' or 'R'")
     if k == 0:
         raise ValueError("surgery index k must be nonzero")
-    n = s.n
-    sign = -1 if handedness == "R" else 1
-    beta = h1_scale(sign, surgery_correction(k, s.s, n))
-    for t in range(1, 4 * n + 1):
-        val = intersection(beta, t)
+    signed_k = -k if handedness == "R" else k
+    for t in range(1, 4 * s.n + 1):
+        val = _crossing(signed_k, s.s, t)
         if val < 0:
             return Verdict(FORBIDDEN, t,
                            f"Int(beta, T_{t}) forced to {val} < 0 "

@@ -1,5 +1,6 @@
 """Batch front-end: determinism, golden files, exit codes, SVG output."""
 
+import collections
 import hashlib
 import io
 import itertools
@@ -300,30 +301,38 @@ def test_orbit_space_bytes_identical(tmp_path):
 
 
 def test_all_pairs_run_builds_end_chains_once(tmp_path, monkeypatch):
-    from plugflow import gluing, orbit_space
+    # exact call counts over a ladder of n: the end chains and the health gate
+    # once per run; per proven pair four even-extension decisions (two to
+    # certify, two to verify), each reading at most the 4n tori
+    from plugflow import distinguisher, gluing, handedness, homology, orbit_space
 
-    counts = {"fans": 0, "validate": 0}
-    old_fan_cluster = orbit_space.old_fan_cluster
-    validate = gluing.ModelCrossingMap.validate
+    counts = collections.Counter()
 
-    def counted_fan(*a):
-        counts["fans"] += 1
-        return old_fan_cluster(*a)
+    def counted(name, fn):
+        def wrapper(*a):
+            counts[name] += 1
+            return fn(*a)
+        return wrapper
 
-    def counted_validate(self):
-        counts["validate"] += 1
-        return validate(self)
-
-    monkeypatch.setattr(orbit_space, "old_fan_cluster", counted_fan)
-    monkeypatch.setattr(gluing.ModelCrossingMap, "validate", counted_validate)
-    cfgfile = tmp_path / "cfg.json"
-    pairs = [list(p) for p in itertools.combinations(range(17), 2)]
-    cfgfile.write_text(json.dumps({"n": 8, "k": -7, "pairs": pairs,
-                                   "out": str(tmp_path / "certs")}))
-    assert run(["--config", cfgfile, "distinguish"]) == 0
-    assert len(os.listdir(tmp_path / "certs")) == len(pairs)
-    assert counts["fans"] == 2
-    assert counts["validate"] == 1
+    monkeypatch.setattr(orbit_space, "old_fan_cluster",
+                        counted("fans", orbit_space.old_fan_cluster))
+    monkeypatch.setattr(gluing.ModelCrossingMap, "validate",
+                        counted("validate", gluing.ModelCrossingMap.validate))
+    monkeypatch.setattr(handedness, "decide_sa_extension",
+                        counted("decisions", handedness.decide_sa_extension))
+    monkeypatch.setattr(homology, "crossing_orbit_index",
+                        counted("incidences", homology.crossing_orbit_index))
+    for n in (4, 8, 16):
+        counts.clear()
+        pairs = [list(p) for p in itertools.combinations(range(2 * n + 1), 2)]
+        proven = sum(distinguisher.proven_range(m1, m2, n) for m1, m2 in pairs)
+        cfgfile, out = tmp_path / f"cfg{n}.json", tmp_path / f"certs{n}"
+        cfgfile.write_text(json.dumps({"n": n, "k": -7, "pairs": pairs, "out": str(out)}))
+        assert run(["--config", cfgfile, "distinguish"]) == 0
+        assert len(os.listdir(out)) == len(pairs)
+        assert (counts["fans"], counts["validate"]) == (2, 1), n
+        assert counts["decisions"] == 4 * proven, n
+        assert counts["incidences"] <= 16 * n * proven, (n, counts["incidences"])
 
 
 def test_usage_error_exit_code():
@@ -506,6 +515,16 @@ def test_unreadable_config_is_usage_error(tmp_path, content):
         cfgfile.write_bytes(content)
     assert run(["--config", cfgfile, "plug",
                 "--out", tmp_path / "plug.json"]) == cli.EXIT_USAGE
+    assert not (tmp_path / "plug.json").exists()
+
+
+def test_deeply_nested_config_is_usage_error(tmp_path, capsys):
+    # json.load gives up on deep nesting with RecursionError, not JSONDecodeError
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["--config", cfgfile, "plug",
+                "--out", tmp_path / "plug.json"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
     assert not (tmp_path / "plug.json").exists()
 
 

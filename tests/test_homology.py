@@ -3,11 +3,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from plugflow import homology as hom
+from plugflow.gluing import crossing_orbit_index
 
-from oracles import (brute_force_bridge, brute_force_two_new,
+from oracles import (_forced_components, brute_force_bridge, brute_force_two_new,
                      brute_force_two_new_full_box)
 
 
@@ -17,28 +18,34 @@ def unit(j, n):
     return tuple(v)
 
 
-# -- classes -----------------------------------------------------------------------
+# -- the incidence alpha_j <-> T_2j-1, T_2j --------------------------------------------
+
+def alpha_support(j, n):
+    """The class of alpha_j as a 0/1 vector over T_1..T_4n, read off the gluing."""
+    return tuple(int(crossing_orbit_index(t) == j) for t in range(1, 4 * n + 1))
+
 
 def test_alpha_class_values():
-    assert hom.alpha_class(1, 1) == (1, 1, 0, 0)
-    assert hom.alpha_class(2, 2) == (0, 0, 1, 1, 0, 0, 0, 0)
+    assert alpha_support(1, 1) == (1, 1, 0, 0)
+    assert alpha_support(2, 2) == (0, 0, 1, 1, 0, 0, 0, 0)
 
 
 def test_alpha_classes_sum_to_ones():
-    for n in (1, 2, 3):
-        total = hom.h1_zero(n)
-        for j in range(1, 2 * n + 1):
-            total = hom.h1_add(total, hom.alpha_class(j, n))
-        assert total == (1,) * (4 * n)
+    # each torus meets exactly one crossing orbit
+    for n in (1, 2, 3, 4):
+        total = [sum(col) for col in zip(*(alpha_support(j, n)
+                                           for j in range(1, 2 * n + 1)))]
+        assert total == [1] * (4 * n)
 
 
 def test_alpha_classes_linearly_independent():
-    for n in (1, 2, 3):
-        supports = [set(t for t, v in enumerate(hom.alpha_class(j, n)) if v)
+    # each orbit meets its own two tori, T_2j-1 and T_2j, and no other
+    for n in (1, 2, 3, 4):
+        supports = [set(t for t, v in enumerate(alpha_support(j, n), start=1) if v)
                     for j in range(1, 2 * n + 1)]
         for a, b in itertools.combinations(supports, 2):
             assert not (a & b)
-        assert all(s for s in supports)
+        assert supports == [{2 * j - 1, 2 * j} for j in range(1, 2 * n + 1)]
 
 
 # -- two new adjacent lozenges --------------------------------------------------------
@@ -92,14 +99,16 @@ def test_two_new_adjacent_full_box_subsample():
 
 
 def test_two_new_adjacent_consistent_instance_exists():
-    # with opposite-sign conventions the two forced classes can agree and be
-    # nonnegative, so the decision is not constantly Forbidden
-    cfg = hom.TwoNewAdjacentConfig(n=1, k=-2, omega1=(0, 0, 0, 0),
-                                   omega3=(0, 0, 0, 0),
+    # the two forced classes can agree and be nonnegative, so the decision is
+    # not constantly Forbidden: T_1, T_2 read 2 = 2 and T_3, T_4 read 0 = 0
+    omega3 = (-2, -2, -2, -2)
+    cfg = hom.TwoNewAdjacentConfig(n=1, k=-2, omega1=(0, 0, 0, 0), omega3=omega3,
                                    s1=hom.NewLozengeData((1, 0)),
-                                   s2=hom.NewLozengeData((1, 0)),
-                                   sign1=-1, sign2=-1)
-    assert hom.decide_two_new_adjacent(cfg).tag == hom.CONSISTENT
+                                   s2=hom.NewLozengeData((0, 1)))
+    assert hom.decide_two_new_adjacent(cfg) == hom.Verdict(
+        hom.CONSISTENT, None, "a nonnegative middle class exists")
+    assert brute_force_two_new(1, -2, (0, 0, 0, 0), omega3, (1, 0), (0, 1)) \
+        == hom.CONSISTENT
 
 
 # -- bridges ---------------------------------------------------------------------------
@@ -196,8 +205,69 @@ def test_sa_extension_exactly_one_handedness(k, s):
     assert sorted(tags.values()) == [hom.CONSISTENT, hom.FORBIDDEN]
 
 
-# -- framing helpers ---------------------------------------------------------------------
+# -- the closed form against the dense sums ---------------------------------------------
 
-def test_surgery_correction_linearity():
-    assert hom.surgery_correction(2, (1, 1), 1) == (2, 2, 2, 2)
-    assert hom.surgery_correction(-1, (0, 3), 1) == (0, 0, -3, -3)
+def _sparse(n, entries):
+    """n zeros with the drawn (index mod n, value) entries set."""
+    v = [0] * n
+    for i, x in entries:
+        v[i % n] = x
+    return tuple(v)
+
+
+def _reference_two_new(n, k, omega1, omega3, s1, s2):
+    """decide_two_new_adjacent torus by torus from the oracle's dense sums."""
+    for t in range(1, 4 * n + 1):
+        a = _forced_components(omega1, -1, k, s1, t)
+        b = _forced_components(omega3, 1, k, s2, t)
+        if a != b:
+            return hom.Verdict(hom.FORBIDDEN, t,
+                               f"middle class forced to {a} through one annulus "
+                               f"and {b} through the other")
+        if a < 0:
+            return hom.Verdict(hom.FORBIDDEN, t, f"Int(omega2, T_{t}) forced to {a} < 0")
+    return hom.Verdict(hom.CONSISTENT, None, "a nonnegative middle class exists")
+
+
+def _reference_sa(handedness, k, s):
+    """decide_sa_extension torus by torus from the oracle's dense sums."""
+    n = len(s) // 2
+    sign = -1 if handedness == "R" else 1
+    for t in range(1, 4 * n + 1):
+        val = _forced_components(hom.h1_zero(n), sign, k, s, t)
+        if val < 0:
+            return hom.Verdict(hom.FORBIDDEN, t,
+                               f"Int(beta, T_{t}) forced to {val} < 0 "
+                               f"({handedness}-type, k={k})")
+    return hom.Verdict(hom.CONSISTENT, None, "forced boundary class is nonnegative")
+
+
+_ENTRIES = st.lists(st.tuples(st.integers(0, 255), st.integers(1, 3)),
+                    min_size=1, max_size=3)
+_OMEGA_ENTRIES = st.lists(st.tuples(st.integers(0, 255), st.integers(-6, 6)), max_size=3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 64), st.integers(-9, 9).filter(bool), _ENTRIES, _ENTRIES,
+       _OMEGA_ENTRIES, _OMEGA_ENTRIES, st.booleans())
+def test_closed_form_matches_dense_sums(n, k, e1, e2, o1, o3, matched):
+    s1, s2 = _sparse(2 * n, e1), _sparse(2 * n, e2)
+    omega1 = _sparse(4 * n, o1)
+    if matched:
+        # omega3 = omega1 + k * (sum s1 + sum s2) agrees on every torus; o3 moves one entry
+        zero = hom.h1_zero(n)
+        omega3 = tuple(omega1[t - 1] + x + _forced_components(zero, 1, k, s1, t)
+                       + _forced_components(zero, 1, k, s2, t)
+                       for t, x in enumerate(_sparse(4 * n, o3[:1]), start=1))
+    else:
+        omega3 = _sparse(4 * n, o3)
+    cfg = hom.TwoNewAdjacentConfig(n=n, k=k, omega1=omega1, omega3=omega3,
+                                   s1=hom.NewLozengeData(s1), s2=hom.NewLozengeData(s2))
+    got = hom.decide_two_new_adjacent(cfg)
+    assert got == _reference_two_new(n, k, omega1, omega3, s1, s2)
+    if n <= 2:
+        assert got.tag == brute_force_two_new(n, k, omega1, omega3, s1, s2)
+    for handedness in ("L", "R"):
+        for data in (s1, s2):
+            assert (hom.decide_sa_extension(handedness, k, hom.NewLozengeData(data))
+                    == _reference_sa(handedness, k, data))
