@@ -40,7 +40,8 @@ from typing import Optional
 from .gluing import STRIP_ANNULUS_INDEX
 from .handedness import even_extension_allowed, old_handedness, old_sa_annulus
 from .jsonout import render
-from .plug import build_plug
+from .model_torus import circumference
+from .plug import IN, build_plug, component_of
 
 INEQUIVALENT = "Inequivalent"
 INCONCLUSIVE = "Inconclusive"
@@ -220,9 +221,9 @@ def non_r_covered_certificate(m: int, n: int) -> dict:
     plug = build_plug(n)
     tori = []
     for i in range(1, 4 * n + 1):
-        count = 2 * i + 2
+        count = circumference(i)
         punctured_j = STRIP_ANNULUS_INDEX
-        sign = "+" if i % 2 == 0 else "-"   # entrance-side stable leaves
+        sign = component_of(i, IN)   # entrance-side stable leaves
         surviving = []
         for j in range(count):
             if j == punctured_j:
@@ -234,9 +235,9 @@ def non_r_covered_certificate(m: int, n: int) -> dict:
                 "boundary_orbits": [f"gamma_{i}^{lo.j},{lo.sign}",
                                     f"gamma_{i}^{hi.j},{hi.sign}"],
             })
-        assert len(surviving) == 2 * i + 1
-        assert all(a["boundary_orbits"][0] != a["boundary_orbits"][1]
-                   for a in surviving)
+        if len(surviving) != count - 1 or any(
+                lo == hi for lo, hi in (a["boundary_orbits"] for a in surviving)):
+            raise AssertionError(f"surviving Reeb annuli of T_{i} are malformed")
         tori.append({
             "torus": i,
             "punctured_annulus": punctured_j,

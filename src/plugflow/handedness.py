@@ -50,8 +50,7 @@ def old_handedness(i: int, m: int, n: int) -> str:
         raise ValueError(f"gluing index {m} out of range")
     j = crossing_orbit_index(i)
     chirality = rectangle_chirality(m, j)
-    parity = frame_sign(i, "s", "contracting")
-    if parity == 1:
+    if frame_sign(i) == 1:
         return chirality
     return L if chirality == R else R
 

@@ -152,12 +152,12 @@ class BridgeConfig:
 
 
 def decide_bridge(cfg: BridgeConfig) -> Verdict:
-    """Old-new-old bridges force k*s_j = 0, impossible once some s_j > 0 and k != 0."""
-    for j, sj in enumerate(cfg.s, start=1):
-        if sj > 0:
-            return Verdict(
-                FORBIDDEN, 2 * j,
-                f"Int through T_{2 * j} forces k*s_{j} = {cfg.k * sj} = 0")
+    """Old-new-old bridges force Int(k * sum_j s_j [alpha_j], T_t) = 0 on every torus."""
+    for t in range(1, 4 * cfg.n + 1):
+        val = _crossing(cfg.k, cfg.s, t)
+        if val:
+            return Verdict(FORBIDDEN, t,
+                           f"Int through T_{t} forces k*s_{crossing_orbit_index(t)} = {val} = 0")
     return Verdict(CONSISTENT, None, "no crossing of the surgered orbits (vacuous)")
 
 

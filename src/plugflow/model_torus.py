@@ -196,24 +196,12 @@ def leaf_through(p: TorusPoint, foliation: str) -> ModelLeaf:
 
 def tau(p: TorusPoint, v: Coord) -> TorusPoint:
     """Horizontal translation x -> x + v (mod 2i+2)."""
-    return TorusPoint(p.i, _add(p.x, v), p.y)
+    return TorusPoint(p.i, p.x + v, p.y)
 
 
 def theta(p: TorusPoint) -> TorusPoint:
     """The involution x -> 1 - x (mod 2i+2); fixes the axes x=1/2 and x=i+3/2."""
-    return TorusPoint(p.i, _sub(1, p.x), p.y)
-
-
-def _add(a: Coord, b: Coord) -> Coord:
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) + float(b)
-    return Fraction(a) + Fraction(b)
-
-
-def _sub(a: Coord, b: Coord) -> Coord:
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) - float(b)
-    return Fraction(a) - Fraction(b)
+    return TorusPoint(p.i, 1 - p.x, p.y)
 
 
 def interval_overlap_length(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction],

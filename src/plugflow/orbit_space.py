@@ -4,13 +4,14 @@ Corners are opaque orbit identifiers; nothing is embedded in the plane.
 Every lozenge carries four edge slots (one stable and one unstable half-leaf
 at each corner) and two lozenges are edge-adjacent exactly when they hold an
 identical slot.  The transverse torus T_i contributes a Z-indexed periodic
-chain of lozenges with period 4i+4 (one lozenge per fundamental annulus of
-the isotoped torus, corners running through the 4i+4 boundary orbits, shared
-edges alternating stable/unstable).  Deleting the lozenge punctured by the
-crossing orbit leaves the old fan cluster with 4i+3 lozenges and 8i+8 free
-slots.  MaximalShape.lozenge_count is the one home of that count, and
-_chain_fan cuts every fan (old_fan_cluster's, and the run classify_maximal
-finds) from its chain, reading the labels off the chain positions.
+chain of lozenges with period 4i+4 = 2 * model_torus.circumference(i) (one
+lozenge per fundamental annulus of the isotoped torus, corners running through
+the boundary orbits, their signs read off plug.component_of, shared edges
+alternating stable/unstable).  Deleting the punctured lozenge leaves the old
+fan cluster with period - 1 = 4i+3 lozenges and 8i+8 free slots, the count
+MaximalShape.lozenge_count reads off the chain, and _chain_fan cuts every fan
+(old_fan_cluster's, and the run classify_maximal finds) from its chain,
+reading the labels off the chain positions.
 
 Classification routes every attachment through the homology filters instead
 of enumerating allowed shapes by hand: two new lozenges may not share an
@@ -35,6 +36,7 @@ from .homology import (FORBIDDEN, BridgeConfig, NewLozengeData,
                        TwoNewAdjacentConfig, decide_bridge,
                        decide_two_new_adjacent, h1_zero)
 from .jsonout import render
+from .plug import IN, OUT, component_of
 
 OLD = "old"
 NEW = "new"
@@ -129,28 +131,23 @@ class OldChain:
     """Z-indexed periodic chain of old lozenges attached to the torus T_i.
 
     Corner k is the boundary orbit under the compact leaf at position
-    k mod (4i+4): even positions 2r sit on the stable leaf c_i^{r,s}, odd
-    positions 2r+1 on the unstable leaf c_i^{r+1,u}; the deck generator
-    shifts k by the full period.
+    k mod (4i+4): even positions 2r sit on the stable leaf c_i^{r,s} of the
+    entrance side, odd positions 2r+1 on the unstable leaf c_i^{r+1,u} of
+    the exit side; the deck generator shifts k by the full period.
     """
 
     i: int
 
     @property
     def period(self) -> int:
-        return 4 * self.i + 4
+        return 2 * mt.circumference(self.i)
 
     def corner(self, k: int) -> OrbitRef:
-        p = k % self.period
-        deck = k // self.period
-        half = 2 * self.i + 2
+        period = self.period
+        p, deck = k % period, k // period
         if p % 2 == 0:
-            j = (p // 2) % half
-            sign = "+" if self.i % 2 == 0 else "-"
-        else:
-            j = (p // 2 + 1) % half
-            sign = "-" if self.i % 2 == 0 else "+"
-        return OrbitRef(self.i, j, sign, deck)
+            return OrbitRef(self.i, p // 2, component_of(self.i, IN), deck)
+        return OrbitRef(self.i, (p // 2 + 1) % (period // 2), component_of(self.i, OUT), deck)
 
     def lozenge(self, k: int) -> Lozenge:
         va, vb = self.corner(k), self.corner(k + 1)
@@ -207,7 +204,8 @@ def punctured_position(i: int, m: int) -> int:
     left, right = int(2 * lo), int(2 * hi)
     if right != left + 1:
         raise AssertionError("puncture does not sit between consecutive leaves")
-    assert 0 <= left < 2 * c
+    if not 0 <= left < 2 * c:
+        raise AssertionError("puncture lies outside the chain period")
     return left
 
 
@@ -323,9 +321,9 @@ class MaximalShape:
     i: int
 
     def lozenge_count(self) -> int:
-        """The old fan's 4i+3 lozenges (the one home of that count) and one new
-        lozenge per end named after the ^."""
-        return 4 * self.i + 3 + len(self.tag.partition("^")[2])
+        """The old fan's lozenges, the chain period less the punctured one,
+        and one new lozenge per end named after the ^."""
+        return OldChain(self.i).period - 1 + len(self.tag.partition("^")[2])
 
 
 @dataclass(frozen=True)

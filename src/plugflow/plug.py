@@ -7,7 +7,8 @@ T_i^+ for even i, and exits through the opposite copies.  Every entrance
 torus carries a lamination made of 2i+2 Reeb annuli A_i^{j,s} (consecutive
 annuli sharing the compact leaf c_i^{j,s}); exit tori carry the u-side
 picture, and sigma(A_i^{j,s}) = A_i^{j,u} index for index.  Each compact
-leaf is cut out by a boundary periodic orbit gamma_i^{j,+/-}.
+leaf is cut out by a boundary periodic orbit gamma_i^{j,+/-} in the component
+holding T_i on that side: component_of is the one home of that sign.
 
 Every record is a closed form of its indices, so a PlugSpec holds only n.
 Dynamical facts that cannot be recomputed from this data (hyperbolicity,
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .jsonout import render
+from .model_torus import circumference
 
 IN = "in"
 OUT = "out"
@@ -52,7 +54,7 @@ class LaminationAnnulus:
     foliation: str  # "s" on entrance tori, "u" on exit tori
 
     def boundary_leaves(self) -> tuple[str, str]:
-        m = 2 * self.i + 2
+        m = circumference(self.i)
         return (leaf_name(self.i, self.j, self.foliation),
                 leaf_name(self.i, (self.j + 1) % m, self.foliation))
 
@@ -85,10 +87,8 @@ class BoundaryOrbit:
 
 
 def _orbit_kind(i: int, sign: str) -> str:
-    plus_kind = "u-boundary" if i % 2 == 0 else "s-boundary"
-    if sign == PLUS:
-        return plus_kind
-    return "s-boundary" if plus_kind == "u-boundary" else "u-boundary"
+    """The orbit under the entrance torus's stable leaves is a u-boundary orbit."""
+    return "u-boundary" if sign == component_of(i, IN) else "s-boundary"
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,12 +102,12 @@ class PlugSpec:
             raise KeyError((i, side))
         fol = "s" if side == IN else "u"
         return BoundaryTorus(i, side, component_of(i, side),
-                             tuple(LaminationAnnulus(i, j, fol) for j in range(2 * i + 2)))
+                             tuple(LaminationAnnulus(i, j, fol) for j in range(circumference(i))))
 
     def orbit(self, i: int, j: int, sign: str) -> BoundaryOrbit:
         if not 1 <= i <= 4 * self.n or sign not in (PLUS, MINUS):
             raise KeyError((i, j, sign))
-        return BoundaryOrbit(i, j % (2 * i + 2), sign, _orbit_kind(i, sign))
+        return BoundaryOrbit(i, j % circumference(i), sign, _orbit_kind(i, sign))
 
 
 def build_plug(n: int) -> PlugSpec:
@@ -139,21 +139,15 @@ def genus_of_surface(n: int) -> int:
 
 # -- boundary frames ----------------------------------------------------------
 
-def frame_sign(i: int, foliation: str, e2_choice: str) -> int:
-    """Orientation sign of the boundary frame (e1, e2, e3) at a compact leaf.
+def frame_sign(i: int) -> int:
+    """Orientation sign of the boundary frame (e1, e2, e3) at a compact leaf of T_i.
 
     e1 points across the leaf towards the next annulus, e3 is the flow
-    direction, and e2 runs along the leaf in the direction selected by
-    e2_choice ("contracting" or "expanding" holonomy).  The frame is
-    positively oriented exactly when e2 is holonomy-contracting for odd i and
-    holonomy-expanding for even i; the answer does not depend on s vs u.
+    direction, and e2 runs along the leaf in the holonomy-contracting
+    direction.  The frame is positively oriented exactly for odd i, on s and
+    u leaves alike.
     """
-    if foliation not in ("s", "u"):
-        raise ValueError("foliation must be 's' or 'u'")
-    if e2_choice not in ("contracting", "expanding"):
-        raise ValueError("e2_choice must be 'contracting' or 'expanding'")
-    positive = "contracting" if i % 2 == 1 else "expanding"
-    return 1 if e2_choice == positive else -1
+    return 1 if i % 2 == 1 else -1
 
 
 # -- JSON document -------------------------------------------------------------
@@ -183,7 +177,7 @@ def plug_document(plug: PlugSpec) -> dict:
         "orbits": (
             {"i": o.i, "j": o.j, "sign": o.sign, "kind": o.kind}
             for o in (plug.orbit(i, j, sign) for i in indices
-                      for j in range(2 * i + 2) for sign in (PLUS, MINUS))
+                      for j in range(circumference(i)) for sign in (PLUS, MINUS))
         ),
     }
 

@@ -25,6 +25,14 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
+def _counted(counts, name, fn):
+    """fn, adding one to counts[name] on every call."""
+    def wrapper(*a):
+        counts[name] += 1
+        return fn(*a)
+    return wrapper
+
+
 # -- plug --------------------------------------------------------------------------
 
 def test_cmd_plug_roundtrip(tmp_path):
@@ -307,21 +315,14 @@ def test_all_pairs_run_builds_end_chains_once(tmp_path, monkeypatch):
     from plugflow import distinguisher, gluing, handedness, homology, orbit_space
 
     counts = collections.Counter()
-
-    def counted(name, fn):
-        def wrapper(*a):
-            counts[name] += 1
-            return fn(*a)
-        return wrapper
-
     monkeypatch.setattr(orbit_space, "old_fan_cluster",
-                        counted("fans", orbit_space.old_fan_cluster))
+                        _counted(counts, "fans", orbit_space.old_fan_cluster))
     monkeypatch.setattr(gluing.ModelCrossingMap, "validate",
-                        counted("validate", gluing.ModelCrossingMap.validate))
+                        _counted(counts, "validate", gluing.ModelCrossingMap.validate))
     monkeypatch.setattr(handedness, "decide_sa_extension",
-                        counted("decisions", handedness.decide_sa_extension))
+                        _counted(counts, "decisions", handedness.decide_sa_extension))
     monkeypatch.setattr(homology, "crossing_orbit_index",
-                        counted("incidences", homology.crossing_orbit_index))
+                        _counted(counts, "incidences", homology.crossing_orbit_index))
     for n in (4, 8, 16):
         counts.clear()
         pairs = [list(p) for p in itertools.combinations(range(2 * n + 1), 2)]
@@ -333,6 +334,33 @@ def test_all_pairs_run_builds_end_chains_once(tmp_path, monkeypatch):
         assert (counts["fans"], counts["validate"]) == (2, 1), n
         assert counts["decisions"] == 4 * proven, n
         assert counts["incidences"] <= 16 * n * proven, (n, counts["incidences"])
+
+
+def test_orbit_space_counts_per_run(tmp_path, monkeypatch):
+    # exact call counts over a ladder of i for a fan grown at both ends
+    # (L = 4i+5 lozenges): one old fan; one chain position per old lozenge;
+    # edge_adjacent on every pair twice (classification and document) and on
+    # the 4i+2 neighbours of each of the two fans built; at most one period
+    # of corner reads per chain corner
+    from plugflow import orbit_space
+
+    counts = collections.Counter()
+    monkeypatch.setattr(orbit_space, "old_fan_cluster",
+                        _counted(counts, "fans", orbit_space.old_fan_cluster))
+    monkeypatch.setattr(orbit_space, "edge_adjacent",
+                        _counted(counts, "adjacent", orbit_space.edge_adjacent))
+    for name in ("corner", "position_of"):
+        monkeypatch.setattr(orbit_space.OldChain, name,
+                            _counted(counts, name, getattr(orbit_space.OldChain, name)))
+    for i in (15, 31, 63):
+        counts.clear()
+        assert run(["orbit-space", "--n", 16, "--i", i, "--extend", "us",
+                    "--out", tmp_path / f"T{i}.json"]) == 0
+        size = 4 * i + 5
+        assert counts["fans"] == 1, i
+        assert counts["position_of"] == 4 * i + 3, i
+        assert counts["adjacent"] == size * (size - 1) + 2 * (4 * i + 2), i
+        assert counts["corner"] <= (4 * i + 4) ** 2, (i, counts["corner"])
 
 
 def test_usage_error_exit_code():

@@ -118,7 +118,9 @@ def test_bridge_forbidden():
                            omega2=hom.h1_zero(1), s=(1, 0))
     verdict = hom.decide_bridge(cfg)
     assert verdict.tag == hom.FORBIDDEN
-    assert verdict.witness_torus == 2
+    # alpha_1 meets T_1 and T_2, so the first failing torus is T_1
+    assert verdict.witness_torus == 1
+    assert verdict.detail == "Int through T_1 forces k*s_1 = 7 = 0"
 
 
 def test_bridge_zero_crossings_vacuously_consistent():
@@ -242,6 +244,17 @@ def _reference_sa(handedness, k, s):
     return hom.Verdict(hom.CONSISTENT, None, "forced boundary class is nonnegative")
 
 
+def _reference_bridge(k, s):
+    """decide_bridge torus by torus from the oracle's dense sums."""
+    n = len(s) // 2
+    for t in range(1, 4 * n + 1):
+        val = _forced_components(hom.h1_zero(n), 1, k, s, t)
+        if val != 0:
+            return hom.Verdict(hom.FORBIDDEN, t,
+                               f"Int through T_{t} forces k*s_{(t + 1) // 2} = {val} = 0")
+    return hom.Verdict(hom.CONSISTENT, None, "no crossing of the surgered orbits (vacuous)")
+
+
 _ENTRIES = st.lists(st.tuples(st.integers(0, 255), st.integers(1, 3)),
                     min_size=1, max_size=3)
 _OMEGA_ENTRIES = st.lists(st.tuples(st.integers(0, 255), st.integers(-6, 6)), max_size=3)
@@ -271,3 +284,7 @@ def test_closed_form_matches_dense_sums(n, k, e1, e2, o1, o3, matched):
         for data in (s1, s2):
             assert (hom.decide_sa_extension(handedness, k, hom.NewLozengeData(data))
                     == _reference_sa(handedness, k, data))
+    for data in (s1, s2):
+        bridge = hom.BridgeConfig(n=n, k=k, omega1=hom.h1_zero(n), omega2=hom.h1_zero(n),
+                                  s=data)
+        assert hom.decide_bridge(bridge) == _reference_bridge(k, data)

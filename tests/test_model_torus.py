@@ -133,6 +133,21 @@ def test_tau_half_bijects_compact_leaf_sets(i):
     assert s_set == u_set
 
 
+@given(torus_indices, st.floats(-50, 50), rationals)
+def test_tau_and_theta_keep_the_coordinate_type(i, x, v):
+    # a float x stays float, equal to norm_mod of the float sum; Fractions stay exact
+    c = mt.circumference(i)
+    p = mt.TorusPoint(i, x, 0.25)
+    moved, flipped = mt.tau(p, v), mt.theta(p)
+    assert type(moved.x) is float and moved.x == mt.norm_mod(p.x + float(v), c)
+    assert type(flipped.x) is float and flipped.x == mt.norm_mod(1.0 - p.x, c)
+    exact = mt.TorusPoint(i, v, v)
+    for q in (mt.tau(exact, v), mt.tau(exact, 3), mt.theta(exact)):
+        assert type(q.x) is Fraction and type(q.y) is Fraction
+    assert mt.tau(exact, v).x == mt.norm_mod(2 * v, c)
+    assert mt.theta(exact).x == mt.norm_mod(1 - v, c)
+
+
 # -- the axial symmetry --------------------------------------------------------------
 
 def test_theta_pointwise():

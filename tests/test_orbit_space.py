@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from plugflow import orbit_space as osp
 from plugflow.homology import NewLozengeData
+from plugflow.plug import build_plug
 
 from oracles import make_sa_annulus, photo
 
@@ -84,6 +85,22 @@ def test_one_period_of_corners_enumerates_boundary_orbits():
         assert len(seen) == 4 * i + 4
         signs = {s for _, s in seen}
         assert signs == {"+", "-"}
+
+
+def test_chain_corners_are_the_plugs_boundary_orbits():
+    # counts and signs come from the plug: even positions sit under the
+    # entrance side's stable leaves (u-boundary orbits), odd positions under
+    # the exit side's unstable leaves (s-boundary orbits)
+    spec = build_plug(2)
+    for i in range(1, 9):
+        chain = osp.build_old_chain(i)
+        for k in range(chain.period):
+            c = chain.corner(k)
+            orbit = spec.orbit(i, c.j, c.sign)
+            assert (orbit.i, orbit.j, orbit.sign, c.deck) == (c.i, c.j, c.sign, 0)
+            assert orbit.kind == ("u-boundary" if k % 2 == 0 else "s-boundary")
+        assert (len(osp.old_fan_cluster(i, 0)) == osp.MaximalShape("C_i", i).lozenge_count()
+                == chain.period - 1)
 
 
 def test_no_three_lozenges_share_a_corner():
