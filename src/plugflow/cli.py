@@ -11,12 +11,16 @@ target as it was.  JSON is encoded by ``jsonout.chunks``, whose bytes are
 those of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, and the
 plug's tori and orbits are computed from n while they are encoded, so
 ``plug`` holds one torus and one chunk, never its whole text or a table of
-records: ``plug --n 32`` peaks at 17.6 MB RSS, as ``--n 16`` does, where
-tables of its records took 25 MB (Python 3.11, Linux).  ``plot`` writes
-its SVG line by line.  A JSON config
-file (--config) can set any flag and carries the crossing-model parameters;
-a flag given on the command line takes precedence over the config value.
-Config keys a command does not read are rejected as usage errors.
+records (README gives the measured peaks).  ``plot`` writes its SVG line
+by line.
+
+Flags, config keys, converters, defaults and checks have one home: each
+setting is declared once in ``_KEYS`` and each command's keys once in
+``_COMMAND_KEYS``.  ``build_parser`` and ``_settings`` are built from these
+two tables, and ``_settings`` runs every input check before a command
+starts.  A JSON config (--config) can set any key its command reads; a flag
+takes precedence over it, and a key the command does not read is a usage
+error.
 
 Exit codes: 0 success, 1 usage error (a crossing model that fails its own
 validation included), 2 a pair expected Inequivalent came back
@@ -30,7 +34,7 @@ import itertools
 import json
 import os
 import sys
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import distinguisher, gluing, handedness, jsonout, model_torus as mt, plug
 from . import orbit_space as osp
@@ -116,20 +120,55 @@ def _extension(value) -> str:
     return value
 
 
-#: how a given setting is read; a value that does not convert is a usage error
-_CONVERT = {"n": _integer, "k": _integer, "i": _integer, "mu": _number,
-            "s_offsets": _offsets, "interval": _interval, "out": _path,
-            "extend": _extension}
+class _Key(NamedTuple):
+    """One setting: its flag's type (None: config only), its converter (a value
+    that does not convert is a usage error), its default and its flag's help."""
+    flag: type | None
+    convert: Callable | None
+    default: object = None
+    help: str | None = None
 
-#: keys of one distinguish run; invariants reads the same run configuration
-_RUN_DEFAULTS = {"n": 1, "k": 7, "pairs": None, "out": None, "mu": None,
-                 "s_offsets": None, "interval": None}
+
+#: every setting; a pair list is checked against n by _pair_list, so it
+#: has no converter
+_KEYS = {
+    "n": _Key(int, _integer, 1),
+    "k": _Key(int, _integer, 7),
+    "m1": _Key(int, _integer),
+    "m2": _Key(int, _integer),
+    "pairs": _Key(None, None),
+    "mu": _Key(float, _number),
+    "s_offsets": _Key(None, _offsets),
+    "interval": _Key(None, _interval),
+    "i": _Key(int, _integer, 1),
+    "extend": _Key(str, _extension, "", "grow the fan at its ends: 'u', 's' or 'us'"),
+    "out": _Key(str, _path),
+}
+
+#: every command: its help, the keys it reads (its flags marked "--", in the
+#: order its help lists them) and its default out path; invariants reads and
+#: checks the keys of a distinguish run
+_COMMAND_KEYS = {
+    "plug": ("write the symbolic plug as JSON", "--n --out", "plug_n{n}.json"),
+    "invariants": ("handedness matrix and cluster sizes",
+                   "--n --k m1 m2 pairs mu s_offsets interval --out",
+                   "invariants_n{n}_k{k}.json"),
+    "distinguish": ("pairwise inequivalence certificates",
+                    "--n --k --m1 --m2 pairs --mu s_offsets interval --out",
+                    "certificates"),
+    "plot": ("SVG plot of one model bifoliation", "--i --out", "bifoliation_T{i}.svg"),
+    "orbit-space": ("cluster adjacency JSON for one torus",
+                    "--n --k --i --extend --out", "orbit_space_T{i}.json"),
+}
 
 
-def _settings(args, defaults: dict) -> dict:
-    """Merged settings of one command: the flag if given, else the config value,
-    else the default.  The keys of `defaults` are the only config keys the
-    command accepts."""
+def _settings(args) -> dict:
+    """Merged settings of one command: each key it reads (the only config keys
+    it accepts) from the flag if given, else the config value, else the
+    default, converted; then every check, in one order, before the command
+    starts.  A run's crossing model is built here: construction validates it."""
+    _, keys, out = _COMMAND_KEYS[args.command]
+    keys = [key.lstrip("-") for key in keys.split()]
     cfg = {}
     if args.config:
         try:
@@ -139,92 +178,58 @@ def _settings(args, defaults: dict) -> dict:
             raise _UsageError(f"config {args.config}: {exc}")
         if not isinstance(cfg, dict):
             raise _UsageError(f"config {args.config} is not a JSON object")
-        unknown = sorted(set(cfg) - set(defaults))
+        unknown = sorted(set(cfg) - set(keys))
         if unknown:
             raise _UsageError(f"{args.command} does not read config keys {unknown}")
-    settings = {}
-    for key, default in defaults.items():
+    s = {}
+    for key in keys:
         value = getattr(args, key, None)
         if value is None:
             value = cfg.get(key)
         if value is None:
-            value = default
-        elif key in _CONVERT:
+            value = _KEYS[key].default
+        elif _KEYS[key].convert is not None:
             try:
-                value = _CONVERT[key](value)
+                value = _KEYS[key].convert(value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise _UsageError(f"bad {key} {value!r}: {exc}")
-        settings[key] = value
-    if settings.get("n", 1) < 1:
+        s[key] = value
+    n, i = s.get("n"), s.get("i", 1)
+    if n is not None and n < 1:
         raise _UsageError("n must be >= 1")
-    if settings.get("k") == 0:
+    if s.get("k") == 0:
         raise _UsageError("k must be nonzero")
-    if any(not 1 <= t <= 4 * settings["n"] for t in settings.get("s_offsets") or ()):
-        raise _UsageError(f"s_offsets keys must be tori in [1, {4 * settings['n']}]")
-    return settings
+    if n is None and i < 1:     # plot draws any torus, orbit-space one of the 4n
+        raise _UsageError("torus index i must be >= 1")
+    if n is not None and not 1 <= i <= 4 * n:
+        raise _UsageError(f"i must be in [1, {4 * n}]")
+    if any(not 1 <= t <= 4 * n for t in s.get("s_offsets") or ()):
+        raise _UsageError(f"s_offsets keys must be tori in [1, {4 * n}]")
+    if "pairs" in s:
+        s["pairs"] = _pair_list(s)
+        # settings left unset keep the model's defaults
+        given = {key: s[key] for key in ("mu", "s_offsets", "interval")
+                 if s[key] is not None}
+        try:
+            s["model"] = gluing.ModelCrossingMap(n=n, **given)
+        except gluing.InvalidCrossingModel as exc:
+            raise _UsageError(f"crossing model: {exc}")
+    s["out"] = s["out"] or out.format(**s)
+    return s
 
 
-def _crossing_model(s: dict) -> gluing.ModelCrossingMap:
-    """The configured crossing model; settings left unset keep the model's
-    defaults.  A model its own validation rejects is a usage error."""
-    given = {key: s[key] for key in ("mu", "s_offsets", "interval")
-             if s[key] is not None}
-    try:
-        return gluing.ModelCrossingMap(n=s["n"], **given)
-    except gluing.InvalidCrossingModel as exc:
-        raise _UsageError(f"crossing model: {exc}")
-
-
-# -- subcommands -----------------------------------------------------------------
-
-
-def cmd_plug(args) -> int:
-    s = _settings(args, {"n": 1, "out": None})
+def _pair_list(s: dict) -> list[tuple[int, int]] | None:
+    """The pairs of one run in increasing order, every one checked; m1 and m2
+    together take precedence over pairs, and a pair listed twice is a usage
+    error.  None if neither is given: the run takes every proven pair."""
     n = s["n"]
-    out = s["out"] or f"plug_n{n}.json"
-    spec = plug.build_plug(n)
-    _write_atomic(out, jsonout.chunks(plug.plug_document(spec)))
-    print(f"wrote {out}")
-    return EXIT_OK
-
-
-def invariants_document(n: int, k: int) -> dict:
-    rows = [{"i": i, "cluster_size": osp.MaximalShape("C_i", i).lozenge_count(),
-             "handedness_by_m": row}
-            for i, row in handedness.handedness_table(n).items()]
-    return {"n": n, "k": k, "columns_m": list(range(2 * n + 1)), "rows": rows}
-
-
-def cmd_invariants(args) -> int:
-    s = _settings(args, _RUN_DEFAULTS)
-    n, k = s["n"], s["k"]
-    out = s["out"] or f"invariants_n{n}_k{k}.json"
-    doc = invariants_document(n, k)
-    for row in doc["rows"]:
-        flips = sum(1 for a, b in zip(row["handedness_by_m"],
-                                      row["handedness_by_m"][1:]) if a != b)
-        if flips > 1:
-            raise AssertionError(f"handedness row {row['i']} is not a step function")
-    _write_atomic(out, jsonout.chunks(doc))
-    print(f"wrote {out}")
-    return EXIT_OK
-
-
-def _distinguish_pairs(args, s: dict) -> list[tuple[int, int]]:
-    """The pairs of one distinguish run in increasing order, every one checked
-    before anything is written; a pair listed twice is a usage error."""
-    n = s["n"]
-    if args.m1 is not None or args.m2 is not None:
-        if args.m1 is None or args.m2 is None:
-            raise _UsageError("--m1 and --m2 must be given together")
-        given = [[args.m1, args.m2]]
-    elif s["pairs"] is not None:
-        given = s["pairs"]
-        if not isinstance(given, list):
-            raise _UsageError("pairs must be a list of [m1, m2] pairs")
-    else:
-        return [p for p in itertools.combinations(range(2 * n + 1), 2)
-                if distinguisher.proven_range(*p, n)]
+    if (s["m1"] is None) != (s["m2"] is None):
+        raise _UsageError("--m1 and --m2 must be given together")
+    given = [[s["m1"], s["m2"]]] if s["m1"] is not None else s["pairs"]
+    if given is None:
+        return None
+    if not isinstance(given, list):
+        raise _UsageError("pairs must be a list of [m1, m2] pairs")
     pairs = []
     for p in given:
         if not (isinstance(p, list) and len(p) == 2):
@@ -239,23 +244,50 @@ def _distinguish_pairs(args, s: dict) -> list[tuple[int, int]]:
     return pairs
 
 
-def cmd_distinguish(args) -> int:
-    s = _settings(args, _RUN_DEFAULTS)
-    n, k = s["n"], s["k"]
-    outdir = s["out"] or "certificates"
-    pairs = _distinguish_pairs(args, s)
+# -- subcommands -----------------------------------------------------------------
+
+
+def cmd_plug(s: dict) -> int:
+    _write_atomic(s["out"], jsonout.chunks(plug.plug_document(plug.build_plug(s["n"]))))
+    print(f"wrote {s['out']}")
+    return EXIT_OK
+
+
+def invariants_document(n: int, k: int) -> dict:
+    rows = [{"i": i, "cluster_size": osp.MaximalShape("C_i", i).lozenge_count(),
+             "handedness_by_m": row}
+            for i, row in handedness.handedness_table(n).items()]
+    return {"n": n, "k": k, "columns_m": list(range(2 * n + 1)), "rows": rows}
+
+
+def cmd_invariants(s: dict) -> int:
+    doc = invariants_document(s["n"], s["k"])
+    for row in doc["rows"]:
+        flips = sum(1 for a, b in zip(row["handedness_by_m"],
+                                      row["handedness_by_m"][1:]) if a != b)
+        if flips > 1:
+            raise AssertionError(f"handedness row {row['i']} is not a step function")
+    _write_atomic(s["out"], jsonout.chunks(doc))
+    print(f"wrote {s['out']}")
+    return EXIT_OK
+
+
+def cmd_distinguish(s: dict) -> int:
+    n, k, pairs = s["n"], s["k"], s["pairs"]
+    if pairs is None:
+        pairs = [p for p in itertools.combinations(range(2 * n + 1), 2)
+                 if distinguisher.proven_range(*p, n)]
     # health gate: the configured crossing model must put a markovian fixed
     # point in every rectangle pair before certificates are emitted
-    model = _crossing_model(s)
     for j in range(1, 2 * n + 1):
-        gluing.locate_periodic_orbit(model, 0, j)
+        gluing.locate_periodic_orbit(s["model"], 0, j)
     ends = distinguisher.end_chains(n)
     mismatches = 0
     for m1, m2 in pairs:
         verdict = distinguisher.distinguish(m1, m2, n, k, ends)
         if not distinguisher.verify_certificate(verdict):
             raise AssertionError(f"certificate for ({m1},{m2}) failed re-verification")
-        path = os.path.join(outdir, f"certificate_m{m1}_m{m2}.json")
+        path = os.path.join(s["out"], f"certificate_m{m1}_m{m2}.json")
         _write_atomic(path, [distinguisher.certificate_to_json(verdict)])
         expected_inequivalent = distinguisher.proven_range(m1, m2, n)
         if expected_inequivalent and verdict.tag != distinguisher.INEQUIVALENT:
@@ -328,30 +360,21 @@ def _split_at_x_seam(seg, circ):
     yield piece
 
 
-def cmd_plot(args) -> int:
-    s = _settings(args, {"i": 1, "out": None})
-    i = s["i"]
-    if i < 1:
-        raise _UsageError("torus index i must be >= 1")
-    out = s["out"] or f"bifoliation_T{i}.svg"
-    _write_atomic(out, bifoliation_svg(i))
-    print(f"wrote {out}")
+def cmd_plot(s: dict) -> int:
+    _write_atomic(s["out"], bifoliation_svg(s["i"]))
+    print(f"wrote {s['out']}")
     return EXIT_OK
 
 
-def cmd_orbit_space(args) -> int:
-    s = _settings(args, {"n": 1, "k": 7, "i": 1, "extend": "", "out": None})
-    n, k, i = s["n"], s["k"], s["i"]
-    if not 1 <= i <= 4 * n:
-        raise _UsageError(f"i must be in [1, {4 * n}]")
-    out = s["out"] or f"orbit_space_T{i}.json"
+def cmd_orbit_space(s: dict) -> int:
+    i = s["i"]
     fan = osp.old_fan_cluster(i, 0)
-    new_data = one_crossing(gluing.crossing_orbit_index(i), n)
+    new_data = one_crossing(gluing.crossing_orbit_index(i), s["n"])
     lozenges = list(fan.lozenges) + [osp.extend_fan(fan, fol, new_data)
                                      for fol in s["extend"]]
-    shape = osp.classify_maximal(lozenges, k)
-    _write_atomic(out, [osp.cluster_to_json(lozenges, shape)])
-    print(f"wrote {out}")
+    shape = osp.classify_maximal(lozenges, s["k"])
+    _write_atomic(s["out"], [osp.cluster_to_json(lozenges, shape)])
+    print(f"wrote {s['out']}")
     return EXIT_OK
 
 
@@ -364,35 +387,11 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="JSON config file; flags take precedence, and "
                    "keys the command does not read are rejected")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("plug", help="write the symbolic plug as JSON")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--out")
-
-    si = sub.add_parser("invariants", help="handedness matrix and cluster sizes")
-    si.add_argument("--n", type=int)
-    si.add_argument("--k", type=int)
-    si.add_argument("--out")
-
-    sd = sub.add_parser("distinguish", help="pairwise inequivalence certificates")
-    sd.add_argument("--n", type=int)
-    sd.add_argument("--k", type=int)
-    sd.add_argument("--m1", type=int)
-    sd.add_argument("--m2", type=int)
-    sd.add_argument("--mu", type=float)
-    sd.add_argument("--out")
-
-    sv = sub.add_parser("plot", help="SVG plot of one model bifoliation")
-    sv.add_argument("--i", type=int)
-    sv.add_argument("--out")
-
-    so = sub.add_parser("orbit-space", help="cluster adjacency JSON for one torus")
-    so.add_argument("--n", type=int)
-    so.add_argument("--k", type=int)
-    so.add_argument("--i", type=int)
-    so.add_argument("--extend", help="grow the fan at its ends: 'u', 's' or 'us'")
-    so.add_argument("--out")
-
+    for command, (summary, keys, _) in _COMMAND_KEYS.items():
+        sp = sub.add_parser(command, help=summary)
+        for key in keys.split():
+            if key.startswith("--"):
+                sp.add_argument(key, type=_KEYS[key[2:]].flag, help=_KEYS[key[2:]].help)
     return p
 
 
@@ -409,7 +408,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command](_settings(args))
     except (_UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -125,8 +125,8 @@ class ModelCrossingMap:
     def __post_init__(self):
         object.__setattr__(self, "s_offsets", MappingProxyType(dict(self.s_offsets)))
         object.__setattr__(self, "interval", tuple(self.interval))
-        if self.mu <= 1:
-            raise InvalidCrossingModel("expansion factor mu must exceed 1")
+        if not 1 < self.mu < float("inf"):     # NaN fails both comparisons
+            raise InvalidCrossingModel("expansion factor mu must be finite and exceed 1")
         self.validate()
 
     def s_off(self, t: int) -> float:

@@ -9,6 +9,8 @@ import os
 import re
 import shlex
 import stat
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -471,7 +473,8 @@ def test_flag_takes_precedence_over_config(tmp_path):
     assert (doc["n"], doc["k"]) == (1, -7)
 
 
-@pytest.mark.parametrize("command, cfg", [
+#: configs every command rejects before it writes anything
+BAD_CONFIGS = [
     # keys the command does not read
     ("distinguish", {"n": 2, "k": 7, "pair": [[1, 2]]}),
     ("plug", {"n": 1, "k": 7}),
@@ -514,7 +517,10 @@ def test_flag_takes_precedence_over_config(tmp_path):
     ("distinguish", {"n": 1, "s_offsets": {" 1": 0.2}}),
     ("distinguish", {"n": 3, "s_offsets": {"1_0": 0.2}}),
     ("invariants", {"n": 1, "s_offsets": {"+2": 0.2}}),
-])
+]
+
+
+@pytest.mark.parametrize("command, cfg", BAD_CONFIGS)
 def test_bad_config_exits_usage_and_writes_nothing(tmp_path, monkeypatch, command, cfg):
     # every command writes to its default path, in the working directory
     monkeypatch.chdir(tmp_path)
@@ -582,8 +588,13 @@ REJECTED_MODELS = {
 }
 
 
-@pytest.mark.parametrize("flags, config", REJECTED_MODELS.values(), ids=REJECTED_MODELS)
-def test_invalid_crossing_model_is_usage_error(tmp_path, flags, config):
+#: a mu that is not finite is refused by the model's mu check, which names mu
+MU_NOT_FINITE = {"mu-nan", "mu-inf", "mu-overflows-to-inf"}
+
+
+@pytest.mark.parametrize("case", REJECTED_MODELS)
+def test_invalid_crossing_model_is_usage_error(tmp_path, capsys, case):
+    flags, config = REJECTED_MODELS[case]
     argv = ["distinguish", "--n", 2, "--k", 7, *flags, "--out", tmp_path / "certs"]
     if config is not None:
         cfgfile = tmp_path / "cfg.json"
@@ -591,6 +602,10 @@ def test_invalid_crossing_model_is_usage_error(tmp_path, flags, config):
         argv = ["--config", cfgfile, *argv]
     assert run(argv) == cli.EXIT_USAGE
     assert not (tmp_path / "certs").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: crossing model: ")
+    if case in MU_NOT_FINITE:
+        assert re.search(r"\bmu\b", err), err
 
 
 def test_verdict_mismatch_exit_code(tmp_path, monkeypatch):
@@ -651,3 +666,87 @@ def test_readme_cli_example_runs(tmp_path, monkeypatch, argv):
         pairs = json.loads(README_RUN_JSON)["pairs"]
         assert sorted(p.name for p in out.iterdir()) == sorted(
             f"certificate_m{a}_m{b}.json" for a, b in pairs)
+
+
+def test_readme_lists_each_commands_keys_as_declared():
+    listed = dict(re.findall(r"^- `([\w-]+)`: (`.*`)$", README_CLI, re.M))
+    assert {command: re.findall(r"`([^`]+)`", keys) for command, keys in listed.items()} == {
+        command: keys.split() for command, (_, keys, _) in cli._COMMAND_KEYS.items()}
+
+
+# -- one declaration ------------------------------------------------------------------
+
+#: every flag of the top-level parser and of each command, in the order its
+#: --help lists them, as literals: a declaration that adds, drops or reorders a
+#: flag shows here
+FLAG_SET = {
+    "": ["--help", "--config"],
+    "plug": ["--help", "--n", "--out"],
+    "invariants": ["--help", "--n", "--k", "--out"],
+    "distinguish": ["--help", "--n", "--k", "--m1", "--m2", "--mu", "--out"],
+    "plot": ["--help", "--i", "--out"],
+    "orbit-space": ["--help", "--n", "--k", "--i", "--extend", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", FLAG_SET, ids=lambda c: c or "top")
+def test_flag_set_of_every_command(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert exit_.value.code == 0
+    # the option lines only, not the usage line, whose wrapping varies across Pythons
+    flags = re.findall(r"^ +(?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+    assert flags == FLAG_SET[command]
+
+
+#: run configs through both commands that read the run keys, with the exit
+#: code both give: the four configs invariants once let through, an m1/m2
+#: pair as config keys, README's run.json and every run-key config rejected
+#: above; every config that is accepted has n <= 2
+RUN_CONFIG_CORPUS = [
+    ({"mu": 0.5}, cli.EXIT_USAGE),
+    ({"pairs": "garbage"}, cli.EXIT_USAGE),
+    ({"interval": [0.4, 0.1]}, cli.EXIT_USAGE),
+    ({"s_offsets": {"1": 5.0}}, cli.EXIT_USAGE),
+    ({"n": 2, "m1": 1, "m2": 2}, cli.EXIT_OK),
+    ({"n": 2, "m1": 1}, cli.EXIT_USAGE),
+    (json.loads(README_RUN_JSON), cli.EXIT_OK),
+    *[(cfg, cli.EXIT_USAGE) for command, cfg in BAD_CONFIGS
+      if command in ("invariants", "distinguish")],
+]
+
+
+@pytest.mark.parametrize("cfg, code", RUN_CONFIG_CORPUS)
+def test_run_config_corpus_both_commands_agree(tmp_path, monkeypatch, cfg, code):
+    for command in ("invariants", "distinguish"):
+        workdir = tmp_path / command
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        Path("cfg.json").write_text(json.dumps(cfg))
+        assert run(["--config", "cfg.json", command]) == code, command
+        written = sorted(os.listdir(workdir))
+        assert (written == ["cfg.json"]) == (code == cli.EXIT_USAGE), (command, written)
+
+
+def test_cli_runs_as_a_process(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def process(workdir, *argv):
+        workdir.mkdir()
+        return subprocess.run([sys.executable, "-m", "plugflow.cli", *argv], cwd=workdir,
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    done = process(tmp_path / "ok", "invariants", "--n", "1")
+    assert (done.returncode, done.stdout) == (0, "wrote invariants_n1_k7.json\n")
+    assert os.listdir(tmp_path / "ok") == ["invariants_n1_k7.json"]
+    done = process(tmp_path / "usage", "plot", "--i", "0")
+    assert done.returncode == cli.EXIT_USAGE
+    assert done.stderr.startswith("usage error: ")
+    assert os.listdir(tmp_path / "usage") == []
+    (tmp_path / "cfg.json").write_text(json.dumps({"mu": 0.5}))
+    done = process(tmp_path / "config", "--config", str(tmp_path / "cfg.json"), "invariants")
+    assert done.returncode == cli.EXIT_USAGE
+    assert done.stderr.startswith("usage error: ")
+    assert os.listdir(tmp_path / "config") == []
