@@ -24,9 +24,10 @@ handedness only, and it applies the even-extension rule
 (handedness.even_extension_allowed) and takes as witness the first end
 torus, named once by _end_tori, that the rule refuses.  In the proven
 range the end chains depend neither on the pair nor on k, so end_chains(n)
-reads them off their photos once per run; the verifier never reads it and
-takes the handedness from old_handedness.  Verdict computation is otherwise
-pure, so pair enumeration parallelizes with any deterministic merge order.
+reads their handedness off their old fans once per run; the verifier never
+reads it and takes the handedness from the closed form old_handedness.
+Verdict computation is otherwise pure, so pair enumeration parallelizes
+with any deterministic merge order.
 
 non_r_covered_certificate computes the per-torus witness data for the
 non-R-covered half of the theorem; no command writes it yet.
@@ -142,13 +143,13 @@ def _reversing_branch(hands: dict[int, str], n: int,
 def end_chains(n: int) -> dict[int, str]:
     """{1: handedness, 4n-1: handedness} of the end chains of the proven range.
 
-    Each is read off the photo of its old fan through old_sa_annulus at
-    m = 1.  The chain at T_i depends on m only through the rectangle
-    chirality at its crossing orbit, which is the same for every m in
-    [1, 2n-1]; so any m1 of the proven range, [1, 2n-2], gives the same
-    chains: T_1 is L and T_{4n-1} is R.  A run builds them once.
+    Each is read off its old fan through old_sa_annulus at m = 1.  The
+    chain at T_i depends on m only through the rectangle chirality at its
+    crossing orbit, which is the same for every m in [1, 2n-1]; so any m1
+    of the proven range, [1, 2n-2], gives the same chains: T_1 is L and
+    T_{4n-1} is R.  A run builds them once.
     """
-    return {i: old_sa_annulus(i, 1, n).handedness for i in _end_tori(n)}
+    return {i: old_sa_annulus(i, 1, n) for i in _end_tori(n)}
 
 
 def distinguish(m1: int, m2: int, n: int, k: int,

@@ -125,8 +125,10 @@ class ModelCrossingMap:
     def __post_init__(self):
         object.__setattr__(self, "s_offsets", MappingProxyType(dict(self.s_offsets)))
         object.__setattr__(self, "interval", tuple(self.interval))
-        if not 1 < self.mu < float("inf"):     # NaN fails both comparisons
-            raise InvalidCrossingModel("expansion factor mu must be finite and exceed 1")
+        # NaN fails the comparison; the return map's unstable coefficient is mu**2
+        if not (1 < self.mu and self.mu * self.mu < float("inf")):
+            raise InvalidCrossingModel(
+                "expansion factor mu must exceed 1 and have a finite square")
         self.validate()
 
     def s_off(self, t: int) -> float:
@@ -175,7 +177,7 @@ class FixedPointReport:
     chirality: str
     point: Point                 # constants on torus 2j-1
     image_point: Point           # constants on torus 2j
-    residual: float
+    residual: float              # size of the last contracting step
     iterations: int
     itinerary: tuple[str, ...]
 
@@ -186,11 +188,14 @@ def locate_periodic_orbit(model: ModelCrossingMap, m: int, j: int,
     """Unique fixed point of the squared return map on the chosen rectangle pair.
 
     The stable coordinate is iterated forward and the unstable one through
-    the inverse map, so both iterations contract; the residual is measured on
-    the forward map.  With the affine model the fixed point is unique; for
-    the underlying flow uniqueness needs the hyperbolicity that the model
-    builds in.  The model was validated when it was constructed, so the
-    health gate's 2n calls cost O(n) together, not O(n^2).
+    the inverse map, so both iterations contract.  The residual is the size
+    of the last step of that iteration, not the forward map's displacement:
+    the forward map's unstable coefficient is mu**2, which magnifies rounding
+    past any fixed tolerance once mu is large (from about 1e5).  With the
+    affine model the fixed point is unique; for the underlying flow
+    uniqueness needs the hyperbolicity that the model builds in.  The model
+    was validated when it was constructed, so the health gate's 2n calls
+    cost O(n) together, not O(n^2).
     """
     t1, t2 = 2 * j - 1, 2 * j
     chir = rectangle_chirality(m, j)
@@ -208,10 +213,9 @@ def locate_periodic_orbit(model: ModelCrossingMap, m: int, j: int,
         raise InvalidCrossingModel("return map does not expand the unstable constant")
 
     for it in range(1, MAX_ITER + 1):
-        a = fwd((a, b))[0]
-        b = (b - b0) / b_slope
-        fa, fb = fwd((a, b))
-        residual = max(abs(fa - a), abs(fb - b))
+        a_next, b_next = fwd((a, b))[0], (b - b0) / b_slope
+        residual = max(abs(a_next - a), abs(b_next - b))
+        a, b = a_next, b_next
         if residual < tol:
             pt = (a, b)
             if not (lo <= a <= hi and lo <= b <= hi):

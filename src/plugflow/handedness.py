@@ -15,17 +15,17 @@ once so that the resulting table is
 
     i odd:  L iff j <= m          i even:  R iff j <= m
 
-which is also the calibration anchor documented on old_handedness.
+old_handedness composes it from the gluing; old_sa_annulus reads the same
+handedness off the chain's old fan, whose first adjacency label says which
+rectangle the puncture sits in.  _frame_transfer, the one home of the frame
+step, turns the chirality into a handedness on both routes.
 even_extension_allowed is the one home of the even-extension rule; the
 reversing-branch constructor that distinguish and the verifier share applies
-it to the end chains' handedness.  The SA annulus itself is read off an old
-fan by orbit_space.photo_inverse.
+it to the end chains' handedness.
 All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from . import orbit_space as osp
 from .gluing import crossing_orbit_index, rectangle_chirality
@@ -36,36 +36,45 @@ L = "L"
 R = "R"
 
 
-def old_handedness(i: int, m: int, n: int) -> str:
-    """Handedness of the old SA annulus attached to T_i in the m-th flow.
-
-    Composed, not tabulated: the gluing picks L components at the crossing
-    orbit j = ceil(i/2) iff j <= m, and the plug's boundary-frame parity
-    (positive iff i is odd) says whether the rectangle chirality transfers
-    to the annulus frame directly or flipped.
-    """
+def _check_cell(i: int, m: int, n: int) -> None:
     if not 1 <= i <= 4 * n:
         raise ValueError(f"torus index {i} out of range")
     if not 0 <= m <= 2 * n:
         raise ValueError(f"gluing index {m} out of range")
-    j = crossing_orbit_index(i)
-    chirality = rectangle_chirality(m, j)
+
+
+def _frame_transfer(chirality: str, i: int) -> str:
+    """The handedness of T_i's old chain when its puncture sits in a
+    `chirality` rectangle: the plug's boundary-frame parity (positive iff i
+    is odd) transfers the chirality to the annulus frame directly or flipped."""
     if frame_sign(i) == 1:
         return chirality
     return L if chirality == R else R
 
 
-def old_sa_annulus(i: int, m: int, n: int) -> osp.SAAnnulus:
-    """The old (4i+3)-chain associated to T_i, read off its orbit-space photo.
+def old_handedness(i: int, m: int, n: int) -> str:
+    """Handedness of the old SA annulus attached to T_i in the m-th flow.
 
-    The chain depends on m only through rectangle_chirality(m, j), j the
-    crossing-orbit index of T_i: the fan's punctured lozenge and the
-    handedness are both functions of that chirality.  A distinguish run
-    therefore builds it once per end torus (distinguisher.end_chains), not
-    once per pair.
+    Composed, not tabulated: the gluing picks L components at the crossing
+    orbit j = ceil(i/2) iff j <= m, and _frame_transfer carries that
+    rectangle chirality to the annulus frame.  No fan is built.
     """
-    return replace(osp.photo_inverse(osp.old_fan_cluster(i, m)),
-                   handedness=old_handedness(i, m, n))
+    _check_cell(i, m, n)
+    return _frame_transfer(rectangle_chirality(m, crossing_orbit_index(i)), i)
+
+
+def old_sa_annulus(i: int, m: int, n: int) -> str:
+    """Handedness of the old (4i+3)-chain at T_i, read off its old fan.
+
+    The fan starts right after the punctured lozenge: at chain position 2
+    when the puncture sits in the R rectangle of the crossing orbit, at 1 in
+    the L one, so its first adjacency label is u for R and s for L.
+    _frame_transfer turns that chirality into the handedness.
+    The fan depends on m only through that chirality, so a distinguish run
+    reads each end torus once (distinguisher.end_chains), not once per pair.
+    """
+    _check_cell(i, m, n)
+    return _frame_transfer(R if osp.old_fan_cluster(i, m).labels[0] == "u" else L, i)
 
 
 def even_extension_allowed(handedness: str, i: int, n: int, k: int) -> bool:

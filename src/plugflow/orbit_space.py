@@ -312,6 +312,14 @@ def fan_end_slots(fan: FanCluster) -> dict[str, EdgeSlot]:
     return out
 
 
+def _outer_corner(fan: FanCluster, t: int) -> Corner:
+    loz = fan.lozenges[t]
+    inner = fan.lozenges[1] if t == 0 else fan.lozenges[-2]
+    shared = {loz.corner_a, loz.corner_b} & {inner.corner_a, inner.corner_b}
+    sc = next(iter(shared))
+    return loz.corner_b if loz.corner_a == sc else loz.corner_a
+
+
 # -- classification ----------------------------------------------------------------
 
 
@@ -447,74 +455,13 @@ def _old_runs(lozenges: Sequence[Lozenge],
     return runs
 
 
-# -- photos -------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SAAnnulus:
-    """k Birkhoff annuli glued along k-1 interior orbits with alternating types."""
-
-    components: tuple[str, ...]
-    adjacency_labels: tuple[str, ...]
-    interior_orbits: tuple[str, ...]
-    boundary_orbits: tuple[str, str]
-    handedness: Optional[str] = None
-
-    def __post_init__(self):
-        k = len(self.components)
-        if k < 1:
-            raise ValueError("an SA annulus has at least one component")
-        if len(self.adjacency_labels) != k - 1 or len(self.interior_orbits) != k - 1:
-            raise ValueError("need k-1 interior orbits and adjacency labels")
-        if any(lab not in ("s", "u") for lab in self.adjacency_labels):
-            raise ValueError("adjacency labels are 's' or 'u'")
-        if self.handedness not in (None, "L", "R"):
-            raise ValueError("handedness is 'L' or 'R'")
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-
-def photo_inverse(fan: FanCluster) -> SAAnnulus:
-    """Separatrix-adjacent annulus data read off a fan cluster.
-
-    Components are named canonically B0..B(k-1); orbit names are the fan's
-    corner names, so the annulus keeps every label of the fan elementwise.
-    The handedness is not read off the photo; handedness.old_sa_annulus
-    stamps it from the closed form.
-    """
-    comps = tuple(f"B{t}" for t in range(len(fan.lozenges)))
-    interior = tuple(_corner_name(_shared_corner(fan, t))
-                     for t in range(len(fan.lozenges) - 1))
-    boundary = (_corner_name(_outer_corner(fan, 0)),
-                _corner_name(_outer_corner(fan, len(fan.lozenges) - 1)))
-    return SAAnnulus(components=comps, adjacency_labels=fan.labels,
-                     interior_orbits=interior, boundary_orbits=boundary)
-
-
-def _shared_corner(fan: FanCluster, t: int) -> Corner:
-    a, b = fan.lozenges[t], fan.lozenges[t + 1]
-    shared = {a.corner_a, a.corner_b} & {b.corner_a, b.corner_b}
-    return next(iter(shared))
-
-
-def _outer_corner(fan: FanCluster, t: int) -> Corner:
-    loz = fan.lozenges[t]
-    if len(fan.lozenges) == 1:
-        return loz.corner_a
-    inner = fan.lozenges[1] if t == 0 else fan.lozenges[-2]
-    shared = {loz.corner_a, loz.corner_b} & {inner.corner_a, inner.corner_b}
-    sc = next(iter(shared))
-    return loz.corner_b if loz.corner_a == sc else loz.corner_a
+# -- serialization --------------------------------------------------------------------
 
 
 def _corner_name(c: Corner) -> str:
     if isinstance(c, OrbitRef):
         return f"gamma_{c.i}^{c.j},{c.sign}@{c.deck}"
     return c.label
-
-
-# -- serialization --------------------------------------------------------------------
 
 
 def cluster_to_json(lozenges: Sequence[Lozenge],

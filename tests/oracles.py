@@ -5,10 +5,9 @@ implementation under test: numerical integration instead of the closed-form
 leaf constant, literal integer enumeration instead of the sign analysis in
 the homology decisions, the published two-annulus rule instead of interval
 arithmetic, and a direct 2x2 affine solve instead of contraction iteration.
-It also keeps the reference maps that tests invert the engine against: the
-forward closed form of a spiral leaf (inverted by the leaf constant), the
-photo of a separatrix-adjacent annulus (inverted by photo_inverse) and the
-crossing model's inverse and sigma-conjugate, and the one-leaf sampler that
+It also keeps the reference maps that tests invert the engine against (the
+forward closed form of a spiral leaf, inverted by the leaf constant, and the
+crossing model's inverse and sigma-conjugate) and the one-leaf sampler that
 the shared-profile leaf sampler must reproduce float for float.
 """
 
@@ -16,9 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-
-from plugflow.orbit_space import (OLD, EdgeSlot, FanCluster, Lozenge, NewOrbitRef,
-                                  SAAnnulus)
 
 
 def rk4_cotangent(x0: float, y0: float, x1: float, steps: int = 4000) -> float:
@@ -165,52 +161,3 @@ def sigma_conjugate(model, t: int, p: tuple[float, float]) -> tuple[float, float
     """sigma . Theta_t . sigma, with sigma swapping the pair of leaf constants."""
     a, b = model.theta(t, (p[1], p[0]))
     return (b, a)
-
-
-# -- photos ---------------------------------------------------------------------------
-
-
-def make_sa_annulus(components, adjacency_labels, interior_orbits, boundary_orbits,
-                    **kw) -> SAAnnulus:
-    """SA annulus from plain sequences; rejects non-alternating adjacency data."""
-    labels = tuple(adjacency_labels)
-    if any(a == b for a, b in zip(labels, labels[1:])):
-        raise ValueError("separatrix-adjacency types must alternate")
-    return SAAnnulus(tuple(components), labels, tuple(interior_orbits),
-                     tuple(boundary_orbits), **kw)
-
-
-def photo(sa: SAAnnulus) -> FanCluster:
-    """Fan cluster of lozenges mirroring a separatrix-adjacent annulus.
-
-    Corner names come from the annulus' orbit labels, so photo_inverse of
-    the photo recovers the annulus data elementwise.
-    """
-    names = [sa.boundary_orbits[0], *sa.interior_orbits, sa.boundary_orbits[1]]
-    corners = [NewOrbitRef(name) for name in names]
-    lozenges = []
-    prev_slot = None
-    for t, comp in enumerate(sa.components):
-        va, vb = corners[t], corners[t + 1]
-        lab_prev = sa.adjacency_labels[t - 1] if t > 0 else None
-        lab_next = sa.adjacency_labels[t] if t < len(sa.adjacency_labels) else None
-        edges = set()
-        if lab_prev is None:
-            edges.add(EdgeSlot(va, "s", f"{comp}-open-s"))
-            edges.add(EdgeSlot(va, "u", f"{comp}-open-u"))
-        else:
-            edges.add(prev_slot)
-            edges.add(EdgeSlot(va, _other(lab_prev), f"{comp}-back"))
-        if lab_next is None:
-            edges.add(EdgeSlot(vb, "s", f"{comp}-close-s"))
-            edges.add(EdgeSlot(vb, "u", f"{comp}-close-u"))
-        else:
-            prev_slot = EdgeSlot(vb, lab_next, "shared")
-            edges.add(prev_slot)
-            edges.add(EdgeSlot(vb, _other(lab_next), f"{comp}-fwd"))
-        lozenges.append(Lozenge(va, vb, OLD, frozenset(edges)))
-    return FanCluster(tuple(lozenges), tuple(sa.adjacency_labels))
-
-
-def _other(foliation: str) -> str:
-    return "u" if foliation == "s" else "s"

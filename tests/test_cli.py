@@ -312,13 +312,18 @@ def test_orbit_space_bytes_identical(tmp_path):
 
 def test_all_pairs_run_builds_end_chains_once(tmp_path, monkeypatch):
     # exact call counts over a ladder of n: the end chains and the health gate
-    # once per run; per proven pair four even-extension decisions (two to
-    # certify, two to verify), each reading at most the 4n tori
+    # once per run, the two fans built being those of T_1 and T_{4n-1} at an m
+    # of the proven range; per proven pair four even-extension decisions (two
+    # to certify, two to verify), each reading at most the 4n tori
     from plugflow import distinguisher, gluing, handedness, homology, orbit_space
 
-    counts = collections.Counter()
-    monkeypatch.setattr(orbit_space, "old_fan_cluster",
-                        _counted(counts, "fans", orbit_space.old_fan_cluster))
+    counts, fans = collections.Counter(), []
+
+    def fan_cluster(i, m, build=orbit_space.old_fan_cluster):
+        fans.append((i, m))
+        return build(i, m)
+
+    monkeypatch.setattr(orbit_space, "old_fan_cluster", fan_cluster)
     monkeypatch.setattr(gluing.ModelCrossingMap, "validate",
                         _counted(counts, "validate", gluing.ModelCrossingMap.validate))
     monkeypatch.setattr(handedness, "decide_sa_extension",
@@ -327,13 +332,16 @@ def test_all_pairs_run_builds_end_chains_once(tmp_path, monkeypatch):
                         _counted(counts, "incidences", homology.crossing_orbit_index))
     for n in (4, 8, 16):
         counts.clear()
+        fans.clear()
         pairs = [list(p) for p in itertools.combinations(range(2 * n + 1), 2)]
         proven = sum(distinguisher.proven_range(m1, m2, n) for m1, m2 in pairs)
         cfgfile, out = tmp_path / f"cfg{n}.json", tmp_path / f"certs{n}"
         cfgfile.write_text(json.dumps({"n": n, "k": -7, "pairs": pairs, "out": str(out)}))
         assert run(["--config", cfgfile, "distinguish"]) == 0
         assert len(os.listdir(out)) == len(pairs)
-        assert (counts["fans"], counts["validate"]) == (2, 1), n
+        assert [i for i, _ in fans] == [1, 4 * n - 1], (n, fans)
+        assert all(1 <= m <= 2 * n - 2 for _, m in fans), (n, fans)
+        assert counts["validate"] == 1, n
         assert counts["decisions"] == 4 * proven, n
         assert counts["incidences"] <= 16 * n * proven, (n, counts["incidences"])
 
@@ -585,11 +593,13 @@ REJECTED_MODELS = {
     "empty-interval": ([], '{"interval": [0.4, 0.1]}'),
     "offset-off-strip": ([], '{"s_offsets": {"1": 5.0}}'),
     "mu-overflows-to-inf": ([], '{"mu": 1e400}'),
+    "mu-squared-overflows": (["--mu", "1e160"], None),
 }
 
 
-#: a mu that is not finite is refused by the model's mu check, which names mu
-MU_NOT_FINITE = {"mu-nan", "mu-inf", "mu-overflows-to-inf"}
+#: a mu that is not finite, or whose square (the return map's unstable
+#: coefficient) is not, is refused by the model's mu check, which names mu
+MU_NOT_FINITE = {"mu-nan", "mu-inf", "mu-overflows-to-inf", "mu-squared-overflows"}
 
 
 @pytest.mark.parametrize("case", REJECTED_MODELS)
@@ -701,8 +711,10 @@ def test_flag_set_of_every_command(capsys, command):
 
 #: run configs through both commands that read the run keys, with the exit
 #: code both give: the four configs invariants once let through, an m1/m2
-#: pair as config keys, README's run.json and every run-key config rejected
-#: above; every config that is accepted has n <= 2
+#: pair as config keys, README's run.json, every run-key config rejected
+#: above, and large mu: accepted while mu**2 is finite (a residual taken on
+#: the forward map cannot converge from mu = 1e5), refused beyond; every
+#: config that is accepted has n <= 2
 RUN_CONFIG_CORPUS = [
     ({"mu": 0.5}, cli.EXIT_USAGE),
     ({"pairs": "garbage"}, cli.EXIT_USAGE),
@@ -713,6 +725,10 @@ RUN_CONFIG_CORPUS = [
     (json.loads(README_RUN_JSON), cli.EXIT_OK),
     *[(cfg, cli.EXIT_USAGE) for command, cfg in BAD_CONFIGS
       if command in ("invariants", "distinguish")],
+    ({"n": 2, "mu": 1e5}, cli.EXIT_OK),
+    ({"n": 2, "mu": 1e100}, cli.EXIT_OK),
+    ({"mu": 1e160}, cli.EXIT_USAGE),
+    ({"mu": 1e308}, cli.EXIT_USAGE),
 ]
 
 

@@ -1,12 +1,11 @@
-"""SA annuli, frame transport and the L/R table."""
+"""The L/R table, its reading off the old fans, and the even-extension rule."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from plugflow import handedness as hd
+from plugflow import orbit_space as osp
 from plugflow.homology import NewLozengeData
-
-from oracles import make_sa_annulus
 
 
 # -- the L/R table ----------------------------------------------------------------
@@ -46,24 +45,31 @@ def test_odd_even_pair_disagree(n, data):
 
 
 def test_out_of_range():
-    with pytest.raises(ValueError):
-        hd.old_handedness(5, 0, 1)
-    with pytest.raises(ValueError):
-        hd.old_handedness(1, 3, 1)
+    for read in (hd.old_handedness, hd.old_sa_annulus):
+        for i, m in ((0, 0), (5, 0), (1, -1), (1, 3)):
+            with pytest.raises(ValueError):
+                read(i, m, 1)
+
+
+def test_fan_reading_matches_closed_form():
+    # every cell (i, m) with n <= 8, 1,776 in all: the handedness read off
+    # the old fan equals the closed form, which builds no fan
+    for n in range(1, 9):
+        for i in range(1, 4 * n + 1):
+            for m in range(2 * n + 1):
+                assert hd.old_sa_annulus(i, m, n) == hd.old_handedness(i, m, n), (i, m, n)
 
 
 # -- extensions --------------------------------------------------------------------
 
 def test_extension_rules():
-    sa_r = hd.old_sa_annulus(1, 0, 1)      # R-type at m=0
-    assert sa_r.handedness == "R"
-    assert not hd.even_extension_allowed(sa_r.handedness, 1, 1, 7)
-    assert hd.even_extension_allowed(sa_r.handedness, 1, 1, -7)
+    assert hd.old_sa_annulus(1, 0, 1) == "R"      # R-type at m=0
+    assert not hd.even_extension_allowed("R", 1, 1, 7)
+    assert hd.even_extension_allowed("R", 1, 1, -7)
 
-    sa_l = hd.old_sa_annulus(1, 1, 1)      # L-type at m=1
-    assert sa_l.handedness == "L"
-    assert hd.even_extension_allowed(sa_l.handedness, 1, 1, 7)
-    assert not hd.even_extension_allowed(sa_l.handedness, 1, 1, -7)
+    assert hd.old_sa_annulus(1, 1, 1) == "L"      # L-type at m=1
+    assert hd.even_extension_allowed("L", 1, 1, 7)
+    assert not hd.even_extension_allowed("L", 1, 1, -7)
 
 
 @given(st.integers(-50, 50).filter(bool), st.integers(1, 2), st.integers(0, 4))
@@ -71,12 +77,12 @@ def test_extension_agrees_with_homology_cells(k, n, m):
     from plugflow.homology import decide_sa_extension
     m = min(m, 2 * n)
     for i in (1, 2 * n):
-        sa = hd.old_sa_annulus(i, m, n)
-        allowed = hd.even_extension_allowed(sa.handedness, i, n, k)
+        hand = hd.old_sa_annulus(i, m, n)
+        allowed = hd.even_extension_allowed(hand, i, n, k)
         j = (i + 1) // 2
         vec = [0] * (2 * n)
         vec[j - 1] = 1
-        direct = decide_sa_extension(sa.handedness, k, NewLozengeData(tuple(vec)))
+        direct = decide_sa_extension(hand, k, NewLozengeData(tuple(vec)))
         assert allowed == (direct.tag == "Consistent")
 
 
@@ -88,25 +94,18 @@ def test_handedness_table_shape():
     assert all(len(row) == 5 for row in table.values())
 
 
-def test_make_sa_annulus_validates():
-    with pytest.raises(ValueError):
-        make_sa_annulus(["B0", "B1", "B2"], ["u", "u"], ["o0", "o1"],
-                           ("b0", "b1"))
-
-
 def test_old_annuli_consistent():
     # an odd, strictly alternating chain transports the boundary frame to the
     # same orientation at both ends
     for i in (1, 2, 3):
-        sa = hd.old_sa_annulus(i, 0, max(1, -(-i // 4)))
-        assert len(sa) == 4 * i + 3
-        labels = sa.adjacency_labels
+        fan = osp.old_fan_cluster(i, 0)
+        assert len(fan) == 4 * i + 3
+        labels = fan.labels
         assert all(a != b for a, b in zip(labels, labels[1:]))
-        assert len(sa.adjacency_labels) == len(sa) - 1
+        assert len(labels) == len(fan) - 1
 
 
 def test_old_annulus_length_and_origin():
     for i in (1, 2, 3):
-        sa = hd.old_sa_annulus(i, 1, 1)
-        assert len(sa) == 4 * i + 3
-        assert sa.handedness == hd.old_handedness(i, 1, 1)
+        assert len(osp.old_fan_cluster(i, 1)) == 4 * i + 3
+        assert hd.old_sa_annulus(i, 1, 1) == hd.old_handedness(i, 1, 1)

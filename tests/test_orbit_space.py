@@ -11,8 +11,6 @@ from plugflow import orbit_space as osp
 from plugflow.homology import NewLozengeData
 from plugflow.plug import build_plug
 
-from oracles import make_sa_annulus, photo
-
 
 def unit_s(j, n):
     v = [0] * (2 * n)
@@ -326,56 +324,6 @@ def test_corrupted_chain_rejected():
         osp.EdgeSlot(vb, "s", "x3"), osp.EdgeSlot(vb, "u", "x4")}))
     with pytest.raises(ValueError):
         chain.position_of(corrupt)
-
-
-# -- photos ------------------------------------------------------------------------
-
-def test_photo_of_7_chain():
-    sa = make_sa_annulus([f"B{t}" for t in range(7)],
-                         ["s", "u", "s", "u", "s", "u"],
-                         [f"o{t}" for t in range(6)], ("start", "finish"))
-    fan = photo(sa)
-    assert len(fan) == 7
-    assert fan.labels == sa.adjacency_labels
-
-
-def test_photo_round_trip():
-    sa = make_sa_annulus(["B0", "B1", "B2"], ["u", "s"], ["o0", "o1"],
-                         ("b0", "b1"))
-    assert osp.photo_inverse(photo(sa)) == sa
-
-
-def test_photo_rejects_alternation_violation():
-    with pytest.raises(ValueError):
-        make_sa_annulus(["B0", "B1", "B2"], ["s", "s"], ["o0", "o1"],
-                        ("b0", "b1"))
-
-
-def test_photo_preserves_labels_elementwise():
-    fan = osp.old_fan_cluster(1, 0)
-    sa = osp.photo_inverse(fan)
-    assert sa.adjacency_labels == fan.labels
-    assert len(sa.components) == len(fan)
-    refan = photo(sa)
-    assert refan.labels == fan.labels
-
-
-def test_photo_commutes_with_deck_action():
-    chain = osp.build_old_chain(1)
-    period = chain.period
-
-    def window_fan(start):
-        lozs = tuple(chain.lozenge(k) for k in range(start, start + 5))
-        labels = tuple(osp.chain_label(k) for k in range(start, start + 4))
-        return osp.FanCluster(lozs, labels)
-
-    sa0 = osp.photo_inverse(window_fan(0))
-    sa1 = osp.photo_inverse(window_fan(period))
-    assert sa0.adjacency_labels == sa1.adjacency_labels
-    assert sa0.components == sa1.components
-    strip = [name.split("@")[0] for name in sa0.interior_orbits]
-    strip1 = [name.split("@")[0] for name in sa1.interior_orbits]
-    assert strip == strip1  # same orbits, one deck higher
 
 
 # -- serialization -------------------------------------------------------------------

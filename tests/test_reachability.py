@@ -1,4 +1,4 @@
-"""Every public function, class and method of plugflow has a caller outside the tests.
+"""Every function, class and method of plugflow has a caller outside the tests.
 
 The source of src/plugflow is parsed with ast and the set of reached
 definitions is closed from the CLI entry point (`cli.main` and the parser's
@@ -14,8 +14,9 @@ names, annotations left out:
 - a reached class reaches its bases, its class body and its dunder methods.
 
 Names resolve by spelling, so the closure over-approximates what runs.  A
-public definition outside it is reached only by unit tests: delete it, or
-move it to tests/oracles.py if a test needs it as a reference.
+definition outside it, a private helper included, is reached only by unit
+tests or by nothing: delete it, or move it to tests/oracles.py if a test
+needs it as a reference.
 """
 
 import ast
@@ -150,19 +151,12 @@ def reachable(defs, imports, roots, module_level):
     return reached
 
 
-def _public(q, defs):
-    d = defs[q]
-    if d.short.startswith("_"):
-        return False
-    return d.cls is None or not defs[d.cls].short.startswith("_")
-
-
 def test_every_public_definition_is_reachable():
     defs, imports, module_level = _parse()
     reached = reachable(defs, imports, [*ENTRY, *ROOTS], module_level)
-    unreached = sorted(q for q in defs if _public(q, defs) and q not in reached)
-    assert not unreached, ("reached only by tests (delete them, or move test "
-                           f"references to tests/oracles.py): {unreached}")
+    unreached = sorted(q for q in defs if q not in reached)
+    assert not unreached, ("reached only by tests or by nothing (delete them, or "
+                           f"move test references to tests/oracles.py): {unreached}")
 
 
 def test_roots_exist_and_are_called_where_listed():
